@@ -1,13 +1,12 @@
-//! Executor benchmark: the streaming fused `TopologyJoin` executor vs
-//! the materialize-then-process path, across thread counts, over an OBE
-//! self-join.
+//! Executor benchmark: the streaming fused `TopologyJoin` executor
+//! across thread counts, over an OBE self-join.
 //!
-//! A counting global allocator additionally tracks **live** heap bytes
-//! so each run reports its peak memory over the steady-state baseline —
-//! the number that exposes the materialized path's O(candidates) pair
-//! buffer against the streaming path's O(threads × batch) buffers. The
-//! run aborts if the two strategies ever disagree on link or candidate
-//! counts, so CI can gate on the bench exiting zero.
+//! The counting global allocator additionally tracks **live** heap
+//! bytes so each run reports its peak memory over the steady-state
+//! baseline — O(threads × batch) pair buffers plus per-worker scratch.
+//! The run aborts if any thread count disagrees with the sequential run
+//! on link or candidate counts, so CI can gate on the bench exiting
+//! zero.
 //!
 //! Run with:
 //! ```text
@@ -19,54 +18,18 @@
 //! (default 3.4 ≈ 102k objects); `$STJ_JOIN_BENCH_REPS` sets the
 //! best-of-N repetition count per configuration (default 3).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use stj_core::{Dataset, DatasetArena, ExecStrategy, TopologyJoin, STREAM_BATCH_PAIRS};
+use stj_core::{Dataset, DatasetArena, TopologyJoin, STREAM_BATCH_PAIRS};
 use stj_geom::Rect;
+use stj_obs::alloc::{reset_peak, totals};
 use stj_obs::Json;
 use stj_raster::Grid;
 
-/// Passthrough to the system allocator that counts calls and tracks the
-/// live-bytes high-water mark.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn note_alloc(size: usize) {
-    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-    // Feed the site-attribution table too (a relaxed load when off).
-    stj_obs::alloc::note_alloc(size);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        note_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: stj_obs::CountingAlloc = stj_obs::CountingAlloc;
 
 /// One measured executor run.
 struct RunSample {
-    strategy: ExecStrategy,
     threads: usize,
     wall_ns: u64,
     allocs: u64,
@@ -76,27 +39,16 @@ struct RunSample {
     links: u64,
 }
 
-fn strategy_name(s: ExecStrategy) -> &'static str {
-    match s {
-        ExecStrategy::Streaming => "streaming",
-        ExecStrategy::Materialized => "materialized",
-    }
-}
-
-fn measure(arena: &DatasetArena, strategy: ExecStrategy, threads: usize) -> RunSample {
-    let live0 = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(live0, Ordering::Relaxed);
-    let a0 = ALLOC_CALLS.load(Ordering::Relaxed);
+fn measure(arena: &DatasetArena, threads: usize) -> RunSample {
+    let live0 = reset_peak();
+    let a0 = totals().calls;
     let t = Instant::now();
-    let out = TopologyJoin::new()
-        .strategy(strategy)
-        .threads(threads)
-        .run(arena, arena);
+    let out = TopologyJoin::new().threads(threads).run(arena, arena);
     let wall_ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - a0;
-    let peak_extra_bytes = PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(live0);
+    let after = totals();
+    let allocs = after.calls - a0;
+    let peak_extra_bytes = after.peak_bytes.saturating_sub(live0);
     RunSample {
-        strategy,
         threads,
         wall_ns,
         allocs,
@@ -126,10 +78,7 @@ fn main() {
 
     // Warm up caches and the lazy parts of the allocator so the first
     // measured run is not charged for them.
-    let warm = TopologyJoin::new()
-        .strategy(ExecStrategy::Materialized)
-        .threads(1)
-        .run(&arena, &arena);
+    let warm = TopologyJoin::new().threads(1).run(&arena, &arena);
     eprintln!(
         "self-join: {} candidates, {} links",
         warm.candidates,
@@ -143,45 +92,39 @@ fn main() {
         .max(1);
     let thread_counts = [1usize, 2, 4, 8];
     let mut samples = Vec::new();
-    for strategy in [ExecStrategy::Materialized, ExecStrategy::Streaming] {
-        for &threads in &thread_counts {
-            // Best-of-reps wall clock: the memory and count columns are
-            // deterministic per config, only the timing is noisy.
-            let mut s = measure(&arena, strategy, threads);
-            for _ in 1..reps {
-                let again = measure(&arena, strategy, threads);
-                assert_eq!(again.links, s.links);
-                s.wall_ns = s.wall_ns.min(again.wall_ns);
-            }
-            eprintln!(
-                "{:<12} x{}  {:>8.1} ms  {:>10} peak extra bytes  {:>8} allocs  {} links",
-                strategy_name(s.strategy),
-                s.threads,
-                s.wall_ns as f64 / 1e6,
-                s.peak_extra_bytes,
-                s.allocs,
-                s.links,
-            );
-            samples.push(s);
+    for &threads in &thread_counts {
+        // Best-of-reps wall clock: the memory and count columns are
+        // deterministic per config, only the timing is noisy.
+        let mut s = measure(&arena, threads);
+        for _ in 1..reps {
+            let again = measure(&arena, threads);
+            assert_eq!(again.links, s.links);
+            s.wall_ns = s.wall_ns.min(again.wall_ns);
         }
+        eprintln!(
+            "streaming x{}  {:>8.1} ms  {:>10} peak extra bytes  {:>8} allocs  {} links",
+            s.threads,
+            s.wall_ns as f64 / 1e6,
+            s.peak_extra_bytes,
+            s.allocs,
+            s.links,
+        );
+        samples.push(s);
     }
 
-    // Correctness gate: every run must agree with the warmup baseline on
-    // both candidate and link counts. CI treats a non-zero exit here as
-    // an executor-divergence failure.
+    // Correctness gate: every run must agree with the sequential warmup
+    // on both candidate and link counts. CI treats a non-zero exit here
+    // as an executor-divergence failure.
     for s in &samples {
         assert_eq!(
-            s.candidates,
-            warm.candidates,
-            "{} x{} candidate count diverged",
-            strategy_name(s.strategy),
+            s.candidates, warm.candidates,
+            "x{} candidate count diverged",
             s.threads
         );
         assert_eq!(
             s.links,
             warm.links.len() as u64,
-            "{} x{} link count diverged",
-            strategy_name(s.strategy),
+            "x{} link count diverged",
             s.threads
         );
     }
@@ -197,7 +140,6 @@ fn main() {
     let time_join = |traced: bool| -> u64 {
         let t = Instant::now();
         let out = TopologyJoin::new()
-            .strategy(ExecStrategy::Streaming)
             .threads(probe_threads)
             .traced(traced)
             .run(&arena, &arena);
@@ -222,14 +164,12 @@ fn main() {
         .iter()
         .map(|s| {
             // The analytic size of the candidate-pair staging buffers:
-            // the materialized path holds every candidate at once, the
-            // streaming path only `threads` batch buffers.
-            let candidate_buffer_bytes = match s.strategy {
-                ExecStrategy::Materialized => s.candidates * pair_bytes,
-                ExecStrategy::Streaming => (s.threads * STREAM_BATCH_PAIRS) as u64 * pair_bytes,
-            };
+            // one batch buffer per worker.
+            let candidate_buffer_bytes = (s.threads * STREAM_BATCH_PAIRS) as u64 * pair_bytes;
             Json::object([
-                ("exec", Json::str(strategy_name(s.strategy))),
+                // Part of the run identity `stj bench-diff` matches
+                // baseline runs on.
+                ("exec", Json::str("streaming")),
                 ("threads", Json::from(s.threads)),
                 ("wall_ns", Json::U64(s.wall_ns)),
                 ("allocs", Json::U64(s.allocs)),

@@ -17,8 +17,6 @@
 //! `$STJ_BENCH_JSON`. `$STJ_LOAD_BENCH_SCALE` scales the dataset
 //! (default 3.4 ≈ 102k objects).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use stj_core::{find_relation, Dataset, DatasetArena};
 use stj_geom::Rect;
@@ -27,35 +25,11 @@ use stj_obs::Json;
 use stj_raster::Grid;
 use stj_store::{open_arena_from_bytes, read_arena, read_dataset, write_arena_v2, write_dataset};
 
-/// Passthrough to the system allocator that counts calls and bytes.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: stj_obs::CountingAlloc = stj_obs::CountingAlloc;
 
 fn alloc_calls() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    stj_obs::alloc::totals().calls
 }
 
 /// One measured load path.

@@ -7,7 +7,8 @@ use crate::harness::{
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 use stj_core::{
-    find_relation, intermediate_filter, mbr_class_labels, refine, relate_p, Dataset, IfOutcome,
+    find_relation, intermediate_filter, mbr_class_labels, refine_with, relate_p, Dataset,
+    IfOutcome, RelateScratch,
 };
 use stj_datagen::{fig9_lake_in_park, generate, ComboId, DatasetId, ALL_COMBOS};
 use stj_de9im::TopoRelation;
@@ -276,7 +277,7 @@ pub fn fig8_with(setup: &ComboSetup) {
         let t = Instant::now();
         for &(i, j, c) in &to_refine {
             let (r, s) = setup.pair(i, j);
-            let _ = refine(r, s, c);
+            let _ = refine_with(r, s, c, &mut RelateScratch::default());
         }
         let ref_time = t.elapsed();
 

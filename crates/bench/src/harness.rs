@@ -2,8 +2,9 @@
 
 use std::time::{Duration, Instant};
 use stj_core::{
-    find_relation, find_relation_april, find_relation_op2, find_relation_profiled,
-    find_relation_st2, Dataset, DatasetArena, FindOutcome, ObjectRef, PipelineStats,
+    find_relation, find_relation_adaptive_with, find_relation_april, find_relation_op2,
+    find_relation_st2, AdaptiveMode, AdaptiveModel, AdaptiveWorker, Dataset, DatasetArena,
+    FindOutcome, ObjectRef, PipelineStats, RelateScratch,
 };
 use stj_datagen::{generate_combo, ComboId};
 use stj_geom::Rect;
@@ -155,9 +156,14 @@ pub fn run_method(setup: &ComboSetup, method: &Method) -> MethodResult {
 /// comes from this extra pass whose wall time is never reported.
 pub fn profile_pc(setup: &ComboSetup) -> JoinProfile {
     let mut rec = Recorder::new();
+    let model = AdaptiveModel::new(AdaptiveMode::Off);
+    let mut worker = AdaptiveWorker::new(&model);
     for &(i, j) in &setup.pairs {
         let (r, s) = setup.pair(i, j);
-        let _ = find_relation_profiled(r, s, &mut rec);
+        // Fresh scratch per pair, like the `find_relation` quickstart
+        // that `run_method` times.
+        let mut scratch = RelateScratch::default();
+        let _ = find_relation_adaptive_with(r, s, &mut rec, &mut scratch, &mut worker);
     }
     rec.into_profile()
 }

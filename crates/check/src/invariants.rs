@@ -29,10 +29,11 @@ pub enum InvariantKind {
     /// (e) The pair answers differently after a v2 write / zero-copy
     /// open round trip through [`stj_core::DatasetArena`].
     StorageFidelity,
-    /// (f) The streaming and materialized `TopologyJoin` executors
-    /// disagree on links, stats, or candidate counts over a dataset
-    /// assembled from the adversarial corpus (checked once per run by
-    /// the runner, not per pair).
+    /// (f) The streaming `TopologyJoin` executor disagrees with a
+    /// brute-force nested loop over every pair on links, stats, profile
+    /// decided counts, or candidate counts over a dataset assembled from
+    /// the adversarial corpus (checked once per run by the runner, not
+    /// per pair).
     ExecEquivalence,
     /// (g) The out-of-core driver over Hilbert-sharded files disagrees
     /// with the single-arena join on links, stats, or candidate counts

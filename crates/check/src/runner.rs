@@ -6,16 +6,20 @@ use crate::invariants::{check_pair, InvariantKind};
 use crate::shrink::shrink_pair;
 use std::time::Instant;
 use stj_core::{
-    AdaptiveMode, Dataset, DatasetArena, ExecStrategy, Link, PipelineStats, TopologyJoin,
+    find_relation, find_relation_april, find_relation_op2, find_relation_st2, relate_p,
+    AdaptiveMode, Dataset, DatasetArena, JoinMethod, JoinResult, Link, PipelineStats,
+    RelateDetermination, TopologyJoin,
 };
 use stj_datagen::adversarial::{adversarial_pair, adversarial_space, CATEGORIES};
+use stj_de9im::TopoRelation;
 use stj_geom::wkt::polygon_to_wkt;
-use stj_obs::Json;
+use stj_obs::{Json, Stage};
 use stj_raster::Grid;
 use stj_store::{external_join_files, write_sharded, ShardedDataset};
 
 /// Cap on the dataset assembled for the executor-equivalence invariant
-/// (f): the first `min(pairs, cap)` adversarial pairs contribute their
+/// (f) and its siblings (g), (h): the first `min(pairs, cap)`
+/// adversarial pairs contribute their
 /// `a` polygons to the left dataset and `b` polygons to the right one.
 /// The corpus packs every object into the same 1000×1000 space, so the
 /// candidate count grows quadratically with the sample — the cap keeps
@@ -210,11 +214,79 @@ fn check_range(config: &CheckConfig, grid: &Grid, lo: u64, hi: u64) -> WorkerSta
     state
 }
 
+/// The brute-force reference join: a nested loop over every left×right
+/// pair, no tiling. Each pair whose MBRs intersect (closed rectangles,
+/// the candidate test of the tile index) is a candidate and runs
+/// through the per-pair quickstart of `method` — or [`relate_p`] when
+/// `predicate` is set — exactly as [`TopologyJoin`] would report it.
+///
+/// Links come out in `(r, s)` order. The result carries no profile,
+/// scheduler report, trace or adaptive report.
+pub fn nested_loop_join(
+    left: &DatasetArena,
+    right: &DatasetArena,
+    method: JoinMethod,
+    predicate: Option<TopoRelation>,
+) -> JoinResult {
+    let mut links = Vec::new();
+    let mut stats = PipelineStats::default();
+    for (i, lm) in left.mbrs().iter().enumerate() {
+        for (j, rm) in right.mbrs().iter().enumerate() {
+            if !lm.intersects(rm) {
+                continue;
+            }
+            let (r, s) = (left.object(i), right.object(j));
+            let relation = match predicate {
+                Some(p) => {
+                    let out = relate_p(r, s, p);
+                    stats.pairs += 1;
+                    match out.determination {
+                        RelateDetermination::MbrFilter => stats.by_mbr += 1,
+                        RelateDetermination::IntermediateFilter => stats.by_intermediate += 1,
+                        RelateDetermination::Refinement => stats.refined += 1,
+                    }
+                    out.holds.then_some(p)
+                }
+                None => {
+                    let run = match method {
+                        JoinMethod::PC => find_relation,
+                        JoinMethod::St2 => find_relation_st2,
+                        JoinMethod::Op2 => find_relation_op2,
+                        JoinMethod::April => find_relation_april,
+                    };
+                    let out = run(r, s);
+                    stats.record(&out);
+                    (out.relation != TopoRelation::Disjoint).then_some(out.relation)
+                }
+            };
+            if let Some(relation) = relation {
+                links.push(Link {
+                    r: i as u32,
+                    s: j as u32,
+                    relation,
+                });
+            }
+        }
+    }
+    JoinResult {
+        links,
+        candidates: stats.pairs,
+        stats,
+        profile: None,
+        sched: None,
+        trace: None,
+        adaptive: None,
+    }
+}
+
 /// Invariant (f): over datasets assembled from the adversarial corpus
 /// (pair `i`'s `a` polygon becomes left object `i`, its `b` polygon
 /// right object `i`, capped at [`EXEC_SAMPLE_CAP`] pairs), the streaming
-/// executor must reproduce the materialized executor's links, stats, and
-/// candidate count exactly — sequentially and at the run's thread count.
+/// executor must reproduce the brute-force [`nested_loop_join`] exactly
+/// — links, candidate count (every MBR-intersecting pair, once), stats,
+/// and the profile's per-stage decided counts — sequentially and at the
+/// run's thread count. The reference does not tile, so a candidate lost
+/// or duplicated by tiling, skew splits or replication dedup shows here.
 fn check_exec_equivalence(config: &CheckConfig, grid: &Grid) -> Result<(), Violation> {
     let sample = config.pairs.min(EXEC_SAMPLE_CAP);
     if sample == 0 {
@@ -223,29 +295,42 @@ fn check_exec_equivalence(config: &CheckConfig, grid: &Grid) -> Result<(), Viola
     let (left, right) = sample_arenas(config, grid, sample);
     let threads = config.threads.max(1);
 
-    let baseline = TopologyJoin::new()
-        .strategy(ExecStrategy::Materialized)
-        .threads(1)
-        .run(&left, &right);
-    let mut base_links = baseline.links.clone();
-    base_links.sort_by_key(|l| (l.r, l.s));
+    let baseline = nested_loop_join(&left, &right, JoinMethod::PC, None);
+    let base_links = baseline.links;
+    let expected_decided = [
+        baseline.stats.by_mbr,
+        baseline.stats.by_intermediate,
+        baseline.stats.refined,
+    ];
 
     for t in [1, threads] {
         let got = TopologyJoin::new()
-            .strategy(ExecStrategy::Streaming)
             .threads(t)
+            .profiled(true)
             .run(&left, &right);
         let mut got_links = got.links.clone();
         got_links.sort_by_key(|l| (l.r, l.s));
+        let decided = got.profile.as_ref().map(|p| {
+            [
+                p.stage(Stage::MbrClassify).decided,
+                p.stage(Stage::IntermediateFilter).decided,
+                p.stage(Stage::Refinement).decided,
+            ]
+        });
         let detail = if got.candidates != baseline.candidates {
             Some(format!(
-                "streaming({t} thread(s)) examined {} candidates, materialized {}",
+                "streaming({t} thread(s)) examined {} candidates, nested loop {}",
                 got.candidates, baseline.candidates
             ))
         } else if got.stats != baseline.stats {
             Some(format!(
-                "streaming({t} thread(s)) stats {:?} != materialized {:?}",
+                "streaming({t} thread(s)) stats {:?} != nested loop {:?}",
                 got.stats, baseline.stats
+            ))
+        } else if decided != Some(expected_decided) {
+            Some(format!(
+                "streaming({t} thread(s)) profile decided (mbr, if, refine) {decided:?} \
+                 != nested loop {expected_decided:?}"
             ))
         } else if got_links != base_links {
             Some(link_diff_detail(t, &base_links, &got_links))
@@ -474,7 +559,7 @@ fn first_link_diff(base: &[Link], got: &[Link]) -> Option<(u32, u32)> {
 fn link_diff_detail(threads: usize, base: &[Link], got: &[Link]) -> String {
     let at = first_link_diff(base, got);
     format!(
-        "streaming({threads} thread(s)) produced {} links, materialized {}; first divergence at {:?}",
+        "streaming({threads} thread(s)) produced {} links, nested loop {}; first divergence at {:?}",
         got.len(),
         base.len(),
         at

@@ -1,12 +1,16 @@
 //! Adaptive filter ordering: a selectivity-driven cost model for the
-//! MBR → APRIL → refine pipeline.
+//! MBR → APRIL → refine pipeline, and the one pipeline body per query
+//! mode that consults it ([`find_relation_adaptive_with`] for P+C,
+//! [`relate_p_adaptive_with`] for `relate_p`).
 //!
-//! The static pipeline runs the APRIL intermediate filter for every
+//! The paper's pipeline runs the APRIL intermediate filter for every
 //! candidate pair whose MBR classification cannot decide it, even for
 //! MBR classes where APRIL almost never decides — pure overhead on the
 //! hot path. This module learns, per (MBR class × query mode), whether
 //! the intermediate stage pays for itself, and skips it for the rest of
-//! the join when it does not:
+//! the join when it does not. The paper's static pipeline is the same
+//! body under [`AdaptiveMode::Off`], whose cells all hold a constant
+//! *keep* verdict:
 //!
 //! - **Counters** ([`AdaptiveWorker`] → [`AdaptiveModel`]): every pair
 //!   that reaches the APRIL stage bumps per-worker local counters
@@ -36,7 +40,7 @@
 //!   a skipped pair takes the `refine_with` path over the MBR class's
 //!   own candidate set and produces the identical relation. Only the
 //!   stage-attribution split (`by_intermediate` vs `refined`) moves;
-//!   links and relations are bit-identical to the static pipeline
+//!   links and relations are bit-identical to [`AdaptiveMode::Off`]
 //!   (enforced by `stj-check` invariant (h), `adaptive_equivalence`).
 //!
 //! The model is shared state safe to hold across joins: `stj-serve`
@@ -48,8 +52,10 @@
 use crate::arena::ObjectRef;
 use crate::filters::{intermediate_filter, IfOutcome};
 use crate::pipeline::{refine_with, Determination, FindOutcome};
-use crate::relate_pred::{mbr_verdict, raster_verdict, RelateDetermination, RelateOutcome};
+use crate::relate_pred::{mbr_verdict, raster_verdict, RelateOutcome};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 use stj_de9im::{relate_with, RelateScratch, TopoRelation};
 use stj_index::MbrRelation;
@@ -103,9 +109,10 @@ const CELLS: usize = CLASSES * MODES;
 /// The adaptive controller's operating mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum AdaptiveMode {
-    /// Static pipeline, bit-identical to the pre-adaptive executor —
-    /// stats, profiles, and links all match exactly. The library
-    /// default (the `stj join` CLI defaults to [`AdaptiveMode::On`]).
+    /// The paper's static pipeline: every cell holds a constant *keep*
+    /// verdict, so every pair that reaches the APRIL stage runs it. The
+    /// library default (the `stj join` CLI defaults to
+    /// [`AdaptiveMode::On`]).
     #[default]
     Off,
     /// Learn per-(class × mode) decisiveness during a warm-up window,
@@ -118,7 +125,8 @@ pub enum AdaptiveMode {
 }
 
 impl AdaptiveMode {
-    /// Whether this mode needs a model at all.
+    /// Whether this mode can ever skip the APRIL stage (and so has a
+    /// decision trace worth reporting).
     pub fn enabled(self) -> bool {
         self != AdaptiveMode::Off
     }
@@ -148,12 +156,12 @@ impl AdaptiveMode {
 pub enum Verdict {
     /// Still inside the warm-up window: run the full pipeline and
     /// sample stage costs.
-    Warming,
+    Warming = 0,
     /// The stage pays for itself here: keep running it.
-    Keep,
+    Keep = 1,
     /// The stage decides too little to cover its cost: go straight to
     /// refinement.
-    Skip,
+    Skip = 2,
 }
 
 impl Verdict {
@@ -264,16 +272,24 @@ impl AdaptiveModel {
 
     /// A fresh model with an explicit warm-up window (tests use tiny
     /// windows to exercise post-verdict behavior on small corpora).
+    ///
+    /// Only [`AdaptiveMode::On`] starts its cells warming. `Off` starts
+    /// them at a constant *keep* and `ForceSkip` at a constant *skip*:
+    /// their verdicts never move, because settling acts only on warming
+    /// cells and the post-skip audit only on skip cells under `On`.
     pub fn with_warmup(mode: AdaptiveMode, warmup: u64) -> AdaptiveModel {
         let model = AdaptiveModel {
             mode,
             warmup: warmup.max(1),
             cells: std::array::from_fn(|_| SharedCell::default()),
         };
-        if mode == AdaptiveMode::ForceSkip {
-            for cell in &model.cells {
-                cell.verdict.store(2, Ordering::Relaxed);
-            }
+        let start = match mode {
+            AdaptiveMode::On => Verdict::Warming,
+            AdaptiveMode::Off => Verdict::Keep,
+            AdaptiveMode::ForceSkip => Verdict::Skip,
+        };
+        for cell in &model.cells {
+            cell.verdict.store(start as u8, Ordering::Relaxed);
         }
         model
     }
@@ -673,15 +689,38 @@ impl<'a> AdaptiveWorker<'a> {
     }
 }
 
+/// Runs `f` with this thread's worker over the process-wide
+/// [`AdaptiveMode::Off`] model: how the `find_relation` and `relate_p`
+/// quickstarts run the one pipeline body. A model and a worker each
+/// hold several KiB of counters, so building both per call would cost
+/// more than the whole pipeline on an MBR-decided pair.
+pub(crate) fn with_off_worker<R>(f: impl FnOnce(&mut AdaptiveWorker<'static>) -> R) -> R {
+    static OFF: OnceLock<AdaptiveModel> = OnceLock::new();
+    thread_local! {
+        static WORKER: RefCell<Option<AdaptiveWorker<'static>>> = const { RefCell::new(None) };
+    }
+    WORKER.with_borrow_mut(|w| {
+        f(w.get_or_insert_with(|| {
+            AdaptiveWorker::new(OFF.get_or_init(|| AdaptiveModel::new(AdaptiveMode::Off)))
+        }))
+    })
+}
+
 /// Nanoseconds elapsed since `t0`, saturating.
 fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// The adaptive variant of
-/// [`crate::pipeline::find_relation_profiled_with`]: identical links and
-/// relations, but the APRIL stage is consulted, timed, or skipped per
-/// the worker's cell verdicts.
+/// Solves *find relation* for one candidate pair with the paper's P+C
+/// pipeline (Algorithm 1): classify the MBR intersection, run the
+/// matching intermediate filter, refine what it leaves undecided.
+///
+/// This is the only P+C body. The worker's (MBR class) verdict decides
+/// whether the APRIL stage runs: under [`AdaptiveMode::Off`] it always
+/// does, which is the paper's static pipeline. Per-stage latency,
+/// decisions and the pair's MBR class go to `prof`; instantiated with
+/// [`stj_obs::Disabled`] the profiling compiles away. Refinement runs
+/// through the caller's (per-worker) `scratch`.
 pub fn find_relation_adaptive_with<P: Profiler>(
     r: ObjectRef<'_>,
     s: ObjectRef<'_>,
@@ -765,10 +804,13 @@ pub fn find_relation_adaptive_with<P: Profiler>(
     out
 }
 
-/// The adaptive variant of
-/// [`crate::relate_pred::relate_p_profiled_with`]: identical answers,
-/// with the raster-verdict layer consulted, timed, or skipped per the
-/// worker's (class × predicate) cell verdicts.
+/// Tests whether relation `p` holds for one candidate pair with the
+/// predicate-specific filter sequence of Sec 3.3 (Figure 6): MBR
+/// short-circuits, then the raster verdicts, then DE-9IM refinement.
+///
+/// This is the only `relate_p` body; the worker's (class × predicate)
+/// verdict decides whether the raster layer runs, exactly as in
+/// [`find_relation_adaptive_with`].
 pub fn relate_p_adaptive_with<P: Profiler>(
     r: ObjectRef<'_>,
     s: ObjectRef<'_>,
@@ -777,6 +819,7 @@ pub fn relate_p_adaptive_with<P: Profiler>(
     scratch: &mut RelateScratch,
     adaptive: &mut AdaptiveWorker<'_>,
 ) -> RelateOutcome {
+    // Layer 1: MBR classification and its short-circuits.
     let t = prof.start();
     let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
     let l1 = mbr_verdict(mbr_rel, p);
@@ -784,63 +827,44 @@ pub fn relate_p_adaptive_with<P: Profiler>(
     if let Some(holds) = l1 {
         prof.decided(Stage::MbrClassify);
         prof.mbr_class(mbr_rel as usize, false);
-        return RelateOutcome {
-            holds,
-            determination: RelateDetermination::MbrFilter,
-        };
+        return RelateOutcome::mbr(holds);
     }
 
+    // Layer 2: predicate-specific raster filters, unless skipped.
     let idx = cell_index(mbr_rel as usize, mode_index(Some(p)));
-    let refine = |prof: &mut P,
-                  scratch: &mut RelateScratch,
-                  adaptive: &mut AdaptiveWorker<'_>,
-                  timed: bool| {
+    let verdict = adaptive.verdicts[idx];
+    let (timed, april_ns) = if verdict == Verdict::Skip {
+        (adaptive.sample_post_timer(idx), None)
+    } else {
+        let timed = verdict == Verdict::Warming && adaptive.sample_timer();
         let t = prof.start();
-        let t1 = timed.then(Instant::now);
-        let m = relate_with(&r.geom, &s.geom, scratch);
-        let holds = p.holds(&m);
-        let ns = t1.map(elapsed_ns);
-        prof.stage(Stage::Refinement, t);
-        prof.decided(Stage::Refinement);
-        prof.mbr_class(mbr_rel as usize, true);
-        let _ = adaptive;
-        (holds, ns)
+        let t0 = timed.then(Instant::now);
+        let l2 = raster_verdict(r, s, p);
+        let april_ns = t0.map(elapsed_ns);
+        prof.stage(Stage::IntermediateFilter, t);
+        if let Some(holds) = l2 {
+            prof.decided(Stage::IntermediateFilter);
+            prof.mbr_class(mbr_rel as usize, false);
+            adaptive.note_pair(idx, true, april_ns, None);
+            return RelateOutcome::raster(holds);
+        }
+        (timed, april_ns)
     };
 
-    match adaptive.verdicts[idx] {
-        Verdict::Skip => {
-            let timed = adaptive.sample_post_timer(idx);
-            let (holds, ns) = refine(prof, scratch, adaptive, timed);
-            adaptive.note_skip(idx, ns);
-            RelateOutcome {
-                holds,
-                determination: RelateDetermination::Refinement,
-            }
-        }
-        verdict => {
-            let timed = verdict == Verdict::Warming && adaptive.sample_timer();
-            let t = prof.start();
-            let t0 = timed.then(Instant::now);
-            let l2 = raster_verdict(r, s, p);
-            let april_ns = t0.map(elapsed_ns);
-            prof.stage(Stage::IntermediateFilter, t);
-            if let Some(holds) = l2 {
-                prof.decided(Stage::IntermediateFilter);
-                prof.mbr_class(mbr_rel as usize, false);
-                adaptive.note_pair(idx, true, april_ns, None);
-                return RelateOutcome {
-                    holds,
-                    determination: RelateDetermination::IntermediateFilter,
-                };
-            }
-            let (holds, refine_ns) = refine(prof, scratch, adaptive, timed);
-            adaptive.note_pair(idx, false, april_ns, refine_ns);
-            RelateOutcome {
-                holds,
-                determination: RelateDetermination::Refinement,
-            }
-        }
+    // Layer 3: refinement.
+    let t = prof.start();
+    let t1 = timed.then(Instant::now);
+    let holds = p.holds(&relate_with(&r.geom, &s.geom, scratch));
+    let refine_ns = t1.map(elapsed_ns);
+    prof.stage(Stage::Refinement, t);
+    prof.decided(Stage::Refinement);
+    prof.mbr_class(mbr_rel as usize, true);
+    if verdict == Verdict::Skip {
+        adaptive.note_skip(idx, refine_ns);
+    } else {
+        adaptive.note_pair(idx, false, april_ns, refine_ns);
     }
+    RelateOutcome::refined(holds)
 }
 
 #[cfg(test)]
@@ -918,6 +942,44 @@ mod tests {
         let report = model.report();
         assert!(report.skipped_pairs() > 0, "force-skip must skip");
         assert!(report.classes.iter().all(|c| c.verdict == "skip"));
+    }
+
+    #[test]
+    fn off_model_keeps_every_cell_for_good() {
+        // The meets stream below settles on skip under `On`; under `Off`
+        // every cell starts at keep and no amount of traffic moves it.
+        let model = AdaptiveModel::with_warmup(AdaptiveMode::Off, 8);
+        let mut worker = AdaptiveWorker::new(&model);
+        let mut scratch = RelateScratch::default();
+        let a = obj(0.0, 0.0, 50.0, 50.0);
+        let b = obj(50.0, 0.0, 90.0, 50.0);
+        for _ in 0..64 {
+            let out = find_relation_adaptive_with(
+                a.view(),
+                b.view(),
+                &mut Disabled,
+                &mut scratch,
+                &mut worker,
+            );
+            assert_eq!(out, find_relation(a.view(), b.view()));
+            let ad = relate_p_adaptive_with(
+                a.view(),
+                b.view(),
+                TopoRelation::Meets,
+                &mut Disabled,
+                &mut scratch,
+                &mut worker,
+            );
+            assert_eq!(ad, relate_p(a.view(), b.view(), TopoRelation::Meets));
+            worker.flush();
+        }
+        let report = model.report();
+        assert!(!report.classes.is_empty());
+        for cell in &report.classes {
+            assert_eq!(cell.verdict, "keep", "{cell:?}");
+            assert_eq!(cell.skipped_pairs, 0);
+        }
+        assert_eq!(model.probe_interval_cap(), None);
     }
 
     #[test]

@@ -2,32 +2,26 @@
 //!
 //! [`TopologyJoin`] is the high-level entry point a downstream system
 //! would use: configure the method (P+C or a baseline), optionally a
-//! single predicate (`relate_p` mode), the thread count, and the
-//! execution strategy; run it over two preprocessed [`Dataset`]s and get
-//! every non-disjoint pair's relation plus aggregate statistics.
+//! single predicate (`relate_p` mode) and the thread count; run it over
+//! two preprocessed [`Dataset`]s and get every non-disjoint pair's
+//! relation plus aggregate statistics.
 //!
-//! # Execution strategies
+//! # Execution
 //!
-//! Two [`ExecStrategy`] variants produce identical links (up to order),
-//! [`PipelineStats`], and profile totals:
-//!
-//! - [`ExecStrategy::Streaming`] (default) — the fused executor. Workers
-//!   claim [`TileTask`]s from a shared atomic counter (work-stealing by
-//!   construction), generate each task's candidate pairs into a small
-//!   per-worker batch buffer, and run the P+C pipeline (or the selected
-//!   baseline / predicate runner) over the batch immediately, while the
-//!   MBRs and APRIL spans touched by the filter step are still
-//!   cache-hot. Peak candidate-buffer memory is `O(threads ×`
-//!   [`STREAM_BATCH_PAIRS`]`)` regardless of the candidate count, and
-//!   dense tiles are split into sub-range tasks so one hot spot cannot
-//!   serialize the join.
-//! - [`ExecStrategy::Materialized`] — the original two-phase shape: run
-//!   the full MBR join first (`O(candidates)` memory), then static-chunk
-//!   the pair list across workers. Kept for differential testing and for
-//!   callers who want the raw candidate list via `stj_index::mbr_join*`.
+//! The executor is fused and streaming. Workers claim [`TileTask`]s
+//! from a shared atomic counter (work-stealing by construction),
+//! generate each task's candidate pairs into a small per-worker batch
+//! buffer, and run the P+C pipeline (or the selected baseline /
+//! predicate runner) over the batch immediately, while the MBRs and
+//! APRIL spans touched by the filter step are still cache-hot. Peak
+//! candidate-buffer memory is `O(threads ×` [`STREAM_BATCH_PAIRS`]`)`
+//! regardless of the candidate count, and dense tiles are split into
+//! sub-range tasks so one hot spot cannot serialize the join. Callers
+//! who want the raw candidate list use `stj_index::mbr_join*`.
 //!
 //! Parallel runs merge per-thread stats at the end, so the aggregate
-//! matches a sequential run exactly under either strategy.
+//! matches a sequential run — and a brute-force nested loop over every
+//! pair — exactly.
 //!
 //! # Observability
 //!
@@ -46,16 +40,15 @@
 //!   [`JoinTrace`] after the scope (exportable as Chrome trace-event
 //!   JSON via `stj join --trace`). Tracing implies profiling, which
 //!   supplies the per-stage nanos inside each span.
-//! - Streaming runs always return a [`SchedReport`]: per-worker
+//! - In-memory runs always return a [`SchedReport`]: per-worker
 //!   busy/idle nanos, task-claim and skew-split counts, and the
 //!   derived imbalance ratio. The cost is two `Instant` reads per tile
 //!   task, off the per-pair path.
 //! - [`TopologyJoin::progress`] prints a pairs/sec heartbeat to stderr
 //!   from a monitor thread while workers count pairs in batches. (The
-//!   streaming executor reports progress without a total: the candidate
-//!   count is only known once generation finishes.) Streaming workers
-//!   also feed per-task busy time into the meter, so heartbeats carry
-//!   worker utilization.
+//!   heartbeat has no total: the candidate count is only known once
+//!   generation finishes.) Workers also feed per-task busy time into
+//!   the meter, so heartbeats carry worker utilization.
 
 use crate::adaptive::{
     find_relation_adaptive_with, relate_p_adaptive_with, AdaptiveMode, AdaptiveModel,
@@ -63,14 +56,12 @@ use crate::adaptive::{
 };
 use crate::arena::{DatasetArena, ObjectRef};
 use crate::baselines::{find_relation_april_with, find_relation_op2_with, find_relation_st2_with};
-use crate::pipeline::{
-    find_relation_profiled_with, find_relation_with, FindOutcome, PipelineStats,
-};
-use crate::relate_pred::{relate_p_profiled_with, RelateDetermination};
+use crate::pipeline::{FindOutcome, PipelineStats};
+use crate::relate_pred::RelateDetermination;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use stj_de9im::{RelateScratch, TopoRelation};
-use stj_index::{mbr_join_parallel, MbrRelation, TileTask, Tiling, DEFAULT_SPLIT_THRESHOLD};
+use stj_index::{MbrRelation, TileTask, Tiling, DEFAULT_SPLIT_THRESHOLD};
 use stj_obs::{
     Disabled, JoinProfile, JoinTrace, Profiler, Progress, ProgressBatch, Recorder, SchedReport,
     SpanRecord, SpanRing, WorkerSched, WorkerTrace, DEFAULT_TRACE_SPANS,
@@ -96,29 +87,21 @@ pub enum JoinMethod {
     April,
 }
 
+/// A baseline's per-pair entry point, run through the caller's
+/// (per-worker) relate scratch.
+pub type BaselineRunner = fn(ObjectRef<'_>, ObjectRef<'_>, &mut RelateScratch) -> FindOutcome;
+
 impl JoinMethod {
-    /// The per-pair entry point for this method; every method runs
-    /// through the caller's (per-worker) relate scratch.
-    pub fn runner(self) -> fn(ObjectRef<'_>, ObjectRef<'_>, &mut RelateScratch) -> FindOutcome {
+    /// The per-pair entry point of a baseline method; `None` for P+C,
+    /// which runs through [`find_relation_adaptive_with`] with a worker.
+    pub fn runner(self) -> Option<BaselineRunner> {
         match self {
-            JoinMethod::PC => find_relation_with,
-            JoinMethod::St2 => find_relation_st2_with,
-            JoinMethod::Op2 => find_relation_op2_with,
-            JoinMethod::April => find_relation_april_with,
+            JoinMethod::PC => None,
+            JoinMethod::St2 => Some(find_relation_st2_with),
+            JoinMethod::Op2 => Some(find_relation_op2_with),
+            JoinMethod::April => Some(find_relation_april_with),
         }
     }
-}
-
-/// How a [`TopologyJoin`] schedules candidate generation and refinement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// Fused tile-at-a-time execution: candidates stream from the tile
-    /// index straight into per-worker pipeline batches (default).
-    #[default]
-    Streaming,
-    /// Materialize the full candidate list first, then chunk it across
-    /// workers.
-    Materialized,
 }
 
 /// One discovered link: indexes into the joined datasets plus the
@@ -148,12 +131,11 @@ pub struct JoinResult {
     /// Per-stage/per-class observation, when [`TopologyJoin::profiled`]
     /// (or [`TopologyJoin::traced`], which implies it) was requested.
     pub profile: Option<JoinProfile>,
-    /// Per-worker busy/idle/task tallies. Always present for streaming
-    /// runs; `None` for materialized runs (static chunking has no task
-    /// scheduler to measure).
+    /// Per-worker busy/idle/task tallies. Always present for in-memory
+    /// runs; `None` for external (out-of-core) joins.
     pub sched: Option<SchedReport>,
     /// The flight-recorder trace, when [`TopologyJoin::traced`] was
-    /// requested on a streaming run.
+    /// requested.
     pub trace: Option<JoinTrace>,
     /// The adaptive controller's decision trace, when
     /// [`TopologyJoin::adaptive`] enabled it. `None` under
@@ -267,7 +249,6 @@ pub struct TopologyJoin {
     method: JoinMethod,
     predicate: Option<TopoRelation>,
     threads: usize,
-    strategy: ExecStrategy,
     profiled: bool,
     traced: bool,
     progress: bool,
@@ -278,7 +259,7 @@ pub struct TopologyJoin {
 /// worker's finished profile.
 type WorkerPart = (Vec<Link>, PipelineStats, Option<JoinProfile>);
 
-/// A streaming worker's full output: the pipeline accumulation plus
+/// A worker's full output: the pipeline accumulation plus
 /// its scheduler tallies and (when tracing) its slice of the trace.
 struct StreamPart {
     part: WorkerPart,
@@ -295,7 +276,7 @@ fn ns_since(epoch: Instant, now: Instant) -> u64 {
 
 impl TopologyJoin {
     /// A join with default configuration (P+C, find-relation mode,
-    /// streaming executor, auto-detected thread count, unprofiled).
+    /// auto-detected thread count, unprofiled).
     pub fn new() -> TopologyJoin {
         TopologyJoin::default()
     }
@@ -321,13 +302,6 @@ impl TopologyJoin {
         self
     }
 
-    /// Selects the execution strategy (default
-    /// [`ExecStrategy::Streaming`]).
-    pub fn strategy(mut self, strategy: ExecStrategy) -> TopologyJoin {
-        self.strategy = strategy;
-        self
-    }
-
     /// Enables per-stage profiling: the result's
     /// [`profile`](JoinResult::profile) is populated. Adds per-pair
     /// timing overhead; leave off for throughput measurements.
@@ -336,10 +310,10 @@ impl TopologyJoin {
         self
     }
 
-    /// Enables the flight recorder on streaming runs: the result's
+    /// Enables the flight recorder: the result's
     /// [`trace`](JoinResult::trace) carries one span per tile task.
     /// Implies [`TopologyJoin::profiled`] (spans embed per-stage
-    /// nanos). Materialized runs ignore this (no tile tasks to span).
+    /// nanos).
     pub fn traced(mut self, on: bool) -> TopologyJoin {
         self.traced = on;
         self
@@ -353,8 +327,8 @@ impl TopologyJoin {
 
     /// Sets the adaptive filter-ordering mode (see
     /// [`crate::adaptive`]). The library default is
-    /// [`AdaptiveMode::Off`] — bit-identical stats and profiles to the
-    /// static pipeline; under [`AdaptiveMode::On`] links and relations
+    /// [`AdaptiveMode::Off`] — the paper's static pipeline, every cell a
+    /// constant *keep*; under [`AdaptiveMode::On`] links and relations
     /// are still identical, but per-(MBR class × mode) cells may skip
     /// the APRIL stage once warmed, moving decisions from
     /// `by_intermediate` to `refined`. Applies to the P+C method and
@@ -377,10 +351,7 @@ impl TopologyJoin {
     /// Runs the join over two columnar arenas (owned datasets convert
     /// via [`crate::Dataset::to_arena`]).
     pub fn run(&self, left: &DatasetArena, right: &DatasetArena) -> JoinResult {
-        match self.strategy {
-            ExecStrategy::Streaming => self.run_streaming(left, right, None),
-            ExecStrategy::Materialized => self.run_materialized(left, right),
-        }
+        self.run_streaming(left, right, None)
     }
 
     /// Runs the join under resource limits — the entry point for online
@@ -388,10 +359,7 @@ impl TopologyJoin {
     /// hostage to an unbounded join.
     ///
     /// With empty `bounds` this is exactly [`TopologyJoin::run`]. With
-    /// limits set, the streaming executor is used regardless of the
-    /// configured strategy (only the fused tile-at-a-time path can stop
-    /// early without having paid for full candidate materialization up
-    /// front): workers check the limits between tile tasks and pair
+    /// limits set, workers check them between tile tasks and pair
     /// batches, so a tripped limit stops the join within one task per
     /// worker. `hit_link_cap` / `hit_deadline` report which limit
     /// fired; a capped run returns the `(r, s)`-smallest `max_links`
@@ -426,59 +394,6 @@ impl TopologyJoin {
         }
     }
 
-    /// The adaptive model for one run, when the configured mode wants
-    /// one (baseline methods never consult it, so none is built).
-    fn run_model(&self) -> Option<AdaptiveModel> {
-        (self.adaptive.enabled() && (self.predicate.is_some() || self.method == JoinMethod::PC))
-            .then(|| AdaptiveModel::new(self.adaptive))
-    }
-
-    /// The materialized path: full MBR join, then static chunking.
-    fn run_materialized(&self, left: &DatasetArena, right: &DatasetArena) -> JoinResult {
-        let threads = self.worker_threads();
-        let pairs = mbr_join_parallel(left.mbrs(), right.mbrs(), threads);
-        let candidates = pairs.len() as u64;
-
-        let progress = self.progress.then(|| Progress::new(candidates));
-        let model = self.run_model();
-        let stop = AtomicBool::new(false);
-        let (links, stats, profile) = std::thread::scope(|scope| {
-            if let Some(p) = &progress {
-                scope.spawn(|| p.run_reporter(&stop, Duration::from_secs(1)));
-            }
-            let out = if self.profiled {
-                self.run_with::<Recorder>(
-                    left,
-                    right,
-                    &pairs,
-                    threads,
-                    progress.as_ref(),
-                    model.as_ref(),
-                )
-            } else {
-                self.run_with::<Disabled>(
-                    left,
-                    right,
-                    &pairs,
-                    threads,
-                    progress.as_ref(),
-                    model.as_ref(),
-                )
-            };
-            stop.store(true, Ordering::Release);
-            out
-        });
-        JoinResult {
-            links,
-            candidates,
-            stats,
-            profile,
-            sched: None,
-            trace: None,
-            adaptive: model.map(|m| m.report()),
-        }
-    }
-
     /// The streaming fused path: workers claim tile tasks and pipeline
     /// each task's candidates in cache-sized batches. `limits` (bounded
     /// runs only) is consulted between tasks and batches.
@@ -492,7 +407,10 @@ impl TopologyJoin {
         // Candidate totals are unknown until generation finishes, so the
         // heartbeat runs without a percentage.
         let progress = self.progress.then(|| Progress::new(0));
-        let model = self.run_model();
+        // Built for every run: under `Off` its cells hold a constant
+        // keep verdict, so the one pipeline body runs the paper's
+        // static pipeline.
+        let model = AdaptiveModel::new(self.adaptive);
         let stop = AtomicBool::new(false);
         let ((links, stats, profile), sched, trace) = std::thread::scope(|scope| {
             if let Some(p) = &progress {
@@ -507,7 +425,7 @@ impl TopologyJoin {
                     threads,
                     progress.as_ref(),
                     limits,
-                    model.as_ref(),
+                    &model,
                 )
             } else {
                 self.stream_with::<Disabled>(
@@ -516,7 +434,7 @@ impl TopologyJoin {
                     threads,
                     progress.as_ref(),
                     limits,
-                    model.as_ref(),
+                    &model,
                 )
             };
             stop.store(true, Ordering::Release);
@@ -531,42 +449,11 @@ impl TopologyJoin {
             profile,
             sched: Some(sched),
             trace,
-            adaptive: model.map(|m| m.report()),
+            // Baseline methods never consult the model.
+            adaptive: (self.adaptive.enabled()
+                && (self.predicate.is_some() || self.method == JoinMethod::PC))
+                .then(|| model.report()),
         }
-    }
-
-    /// Statically-dispatched materialized join body: each worker owns a
-    /// fresh `P`, finished profiles (if any) merge after the scope.
-    fn run_with<P: Profiler + Default + Send>(
-        &self,
-        left: &DatasetArena,
-        right: &DatasetArena,
-        pairs: &[(u32, u32)],
-        threads: usize,
-        progress: Option<&Progress>,
-        model: Option<&AdaptiveModel>,
-    ) -> WorkerPart {
-        let chunk = pairs.len().div_ceil(threads).max(1);
-        let mut parts: Vec<WorkerPart> = Vec::new();
-        if threads == 1 || pairs.len() < 2 * chunk {
-            parts.push(self.run_chunk::<P>(left, right, pairs, progress, model));
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for slice in pairs.chunks(chunk) {
-                    handles.push(
-                        scope.spawn(move || {
-                            self.run_chunk::<P>(left, right, slice, progress, model)
-                        }),
-                    );
-                }
-                parts = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("join worker panicked"))
-                    .collect();
-            });
-        }
-        merge_parts(parts)
     }
 
     /// Statically-dispatched streaming join body: `threads` workers
@@ -580,7 +467,7 @@ impl TopologyJoin {
         threads: usize,
         progress: Option<&Progress>,
         limits: Option<&LimitState>,
-        model: Option<&AdaptiveModel>,
+        model: &AdaptiveModel,
     ) -> (WorkerPart, SchedReport, Option<JoinTrace>) {
         let tiling = Tiling::for_inputs(left.mbrs(), right.mbrs());
         let tasks = tiling.tasks(DEFAULT_SPLIT_THRESHOLD);
@@ -667,7 +554,7 @@ impl TopologyJoin {
         next: &AtomicUsize,
         progress: Option<&Progress>,
         limits: Option<&LimitState>,
-        model: Option<&AdaptiveModel>,
+        model: &AdaptiveModel,
     ) -> StreamPart {
         let mut prof = P::default();
         let mut batch = progress.map(ProgressBatch::new);
@@ -679,7 +566,7 @@ impl TopologyJoin {
         let mut scratch = RelateScratch::default();
         // The worker's view of the shared adaptive model: local counter
         // deltas, merged periodically and at worker exit.
-        let mut adaptive = model.map(AdaptiveWorker::new);
+        let mut adaptive = AdaptiveWorker::new(model);
         // Links already reported to `limits` (bounded runs).
         let mut noted = 0usize;
         let mut sched = WorkerSched::new(worker);
@@ -770,11 +657,9 @@ impl TopologyJoin {
                 });
             }
         }
-        if let Some(w) = &mut adaptive {
-            // Final partial window: without this, short runs would lose
-            // up to MERGE_PERIOD−1 samples per worker.
-            w.flush();
-        }
+        // Final partial window: without this, short runs would lose up
+        // to MERGE_PERIOD−1 samples per worker.
+        adaptive.flush();
         let end_ns = ns_since(epoch, Instant::now());
         let trace = ring.map(|ring| WorkerTrace {
             worker,
@@ -790,41 +675,9 @@ impl TopologyJoin {
         }
     }
 
-    /// One materialized worker: the whole chunk is a single batch.
-    fn run_chunk<P: Profiler + Default>(
-        &self,
-        left: &DatasetArena,
-        right: &DatasetArena,
-        pairs: &[(u32, u32)],
-        progress: Option<&Progress>,
-        model: Option<&AdaptiveModel>,
-    ) -> WorkerPart {
-        let mut prof = P::default();
-        let mut batch = progress.map(ProgressBatch::new);
-        let mut links = Vec::new();
-        let mut stats = PipelineStats::default();
-        let mut scratch = RelateScratch::default();
-        let mut adaptive = model.map(AdaptiveWorker::new);
-        self.process_pairs::<P>(
-            left,
-            right,
-            pairs,
-            &mut prof,
-            &mut links,
-            &mut stats,
-            &mut batch,
-            &mut scratch,
-            &mut adaptive,
-        );
-        if let Some(w) = &mut adaptive {
-            w.flush();
-        }
-        (links, stats, prof.finish())
-    }
-
-    /// The per-pair loop shared by both executors: runs the configured
-    /// method (or predicate) over `pairs`, appending links and folding
-    /// stats/profile into the caller's accumulators.
+    /// The per-pair loop: runs the configured method (or predicate)
+    /// over `pairs`, appending links and folding stats/profile into the
+    /// caller's accumulators.
     #[allow(clippy::too_many_arguments)]
     fn process_pairs<P: Profiler>(
         &self,
@@ -836,105 +689,71 @@ impl TopologyJoin {
         stats: &mut PipelineStats,
         batch: &mut Option<ProgressBatch<'_>>,
         scratch: &mut RelateScratch,
-        adaptive: &mut Option<AdaptiveWorker<'_>>,
+        adaptive: &mut AdaptiveWorker<'_>,
     ) {
-        match self.predicate {
-            None => match self.method {
-                JoinMethod::PC => {
-                    for &(i, j) in pairs {
-                        let out = match adaptive.as_mut() {
-                            Some(w) => find_relation_adaptive_with(
-                                left.object(i as usize),
-                                right.object(j as usize),
-                                prof,
-                                scratch,
-                                w,
-                            ),
-                            None => find_relation_profiled_with(
-                                left.object(i as usize),
-                                right.object(j as usize),
-                                prof,
-                                scratch,
-                            ),
-                        };
-                        stats.record(&out);
-                        if out.relation != TopoRelation::Disjoint {
-                            links.push(Link {
-                                r: i,
-                                s: j,
-                                relation: out.relation,
-                            });
-                        }
-                        if let Some(b) = batch.as_mut() {
-                            b.tick();
-                        }
-                    }
-                }
-                method => {
-                    // Baselines are not instrumented internally; when
-                    // profiling, the whole per-pair call is timed and
-                    // attributed to the stage that decided the pair
-                    // (no per-MBR-class breakdown).
-                    let run = method.runner();
-                    for &(i, j) in pairs {
-                        let t = prof.start();
-                        let out = run(left.object(i as usize), right.object(j as usize), scratch);
-                        if P::ENABLED {
-                            let stage = out.determination.stage();
-                            prof.stage(stage, t);
-                            prof.decided(stage);
-                        }
-                        stats.record(&out);
-                        if out.relation != TopoRelation::Disjoint {
-                            links.push(Link {
-                                r: i,
-                                s: j,
-                                relation: out.relation,
-                            });
-                        }
-                        if let Some(b) = batch.as_mut() {
-                            b.tick();
-                        }
-                    }
-                }
-            },
-            Some(p) => {
-                for &(i, j) in pairs {
-                    let out = match adaptive.as_mut() {
-                        Some(w) => relate_p_adaptive_with(
-                            left.object(i as usize),
-                            right.object(j as usize),
-                            p,
-                            prof,
-                            scratch,
-                            w,
-                        ),
-                        None => relate_p_profiled_with(
-                            left.object(i as usize),
-                            right.object(j as usize),
-                            p,
-                            prof,
-                            scratch,
-                        ),
-                    };
-                    stats.pairs += 1;
-                    match out.determination {
-                        RelateDetermination::MbrFilter => stats.by_mbr += 1,
-                        RelateDetermination::IntermediateFilter => stats.by_intermediate += 1,
-                        RelateDetermination::Refinement => stats.refined += 1,
-                    }
-                    if out.holds {
-                        links.push(Link {
-                            r: i,
-                            s: j,
-                            relation: p,
-                        });
-                    }
-                    if let Some(b) = batch.as_mut() {
-                        b.tick();
-                    }
-                }
+        let mut emit = |r: u32, s: u32, relation: Option<TopoRelation>| {
+            if let Some(relation) = relation {
+                links.push(Link { r, s, relation });
             }
+            if let Some(b) = batch.as_mut() {
+                b.tick();
+            }
+        };
+        if let Some(p) = self.predicate {
+            for &(i, j) in pairs {
+                let out = relate_p_adaptive_with(
+                    left.object(i as usize),
+                    right.object(j as usize),
+                    p,
+                    prof,
+                    scratch,
+                    adaptive,
+                );
+                stats.pairs += 1;
+                match out.determination {
+                    RelateDetermination::MbrFilter => stats.by_mbr += 1,
+                    RelateDetermination::IntermediateFilter => stats.by_intermediate += 1,
+                    RelateDetermination::Refinement => stats.refined += 1,
+                }
+                emit(i, j, out.holds.then_some(p));
+            }
+            return;
+        }
+        let Some(run) = self.method.runner() else {
+            for &(i, j) in pairs {
+                let out = find_relation_adaptive_with(
+                    left.object(i as usize),
+                    right.object(j as usize),
+                    prof,
+                    scratch,
+                    adaptive,
+                );
+                stats.record(&out);
+                emit(
+                    i,
+                    j,
+                    (out.relation != TopoRelation::Disjoint).then_some(out.relation),
+                );
+            }
+            return;
+        };
+        // Baselines are not instrumented internally; when profiling, the
+        // whole per-pair call is timed and attributed to the stage that
+        // decided the pair (no per-MBR-class breakdown).
+        for &(i, j) in pairs {
+            let t = prof.start();
+            let out = run(left.object(i as usize), right.object(j as usize), scratch);
+            if P::ENABLED {
+                let stage = out.determination.stage();
+                prof.stage(stage, t);
+                prof.decided(stage);
+            }
+            stats.record(&out);
+            emit(
+                i,
+                j,
+                (out.relation != TopoRelation::Disjoint).then_some(out.relation),
+            );
         }
     }
 }
@@ -1027,27 +846,6 @@ mod tests {
                 sorted_links(par.links.clone())
             );
             assert_eq!(seq.stats, par.stats);
-        }
-    }
-
-    #[test]
-    fn strategies_agree_on_links_stats_and_candidates() {
-        let (l, r) = datasets();
-        for threads in [1, 3] {
-            let streaming = TopologyJoin::new()
-                .strategy(ExecStrategy::Streaming)
-                .threads(threads)
-                .run(&l, &r);
-            let materialized = TopologyJoin::new()
-                .strategy(ExecStrategy::Materialized)
-                .threads(threads)
-                .run(&l, &r);
-            assert_eq!(
-                sorted_links(streaming.links.clone()),
-                sorted_links(materialized.links.clone())
-            );
-            assert_eq!(streaming.stats, materialized.stats);
-            assert_eq!(streaming.candidates, materialized.candidates);
         }
     }
 
@@ -1175,8 +973,8 @@ mod tests {
         let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1.0, 1.0), 4);
         let empty = Dataset::build("E", vec![], &grid).to_arena();
         let (l, _) = datasets();
-        for strategy in [ExecStrategy::Streaming, ExecStrategy::Materialized] {
-            let out = TopologyJoin::new().strategy(strategy).run(&l, &empty);
+        for (left, right) in [(&l, &empty), (&empty, &l)] {
+            let out = TopologyJoin::new().run(left, right);
             assert!(out.links.is_empty());
             assert_eq!(out.candidates, 0);
         }
@@ -1185,9 +983,9 @@ mod tests {
     #[test]
     fn profiled_run_reports_consistent_totals() {
         let (l, r) = datasets();
-        for strategy in [ExecStrategy::Streaming, ExecStrategy::Materialized] {
+        for threads in [1, 3] {
             let out = TopologyJoin::new()
-                .strategy(strategy)
+                .threads(threads)
                 .profiled(true)
                 .run(&l, &r);
             let profile = out.profile.expect("profiled run returns a profile");
@@ -1223,10 +1021,6 @@ mod tests {
             }
             assert!(sched.imbalance_ratio() >= 1.0 - 1e-9);
         }
-        let mat = TopologyJoin::new()
-            .strategy(ExecStrategy::Materialized)
-            .run(&l, &r);
-        assert!(mat.sched.is_none(), "no task scheduler to measure");
     }
 
     #[test]
@@ -1305,29 +1099,26 @@ mod tests {
     fn adaptive_modes_preserve_links_and_relations() {
         let (l, r) = datasets();
         let base = TopologyJoin::new().threads(1).run(&l, &r);
-        assert!(base.adaptive.is_none(), "off mode must not build a model");
+        assert!(base.adaptive.is_none(), "off mode reports no trace");
         for mode in [AdaptiveMode::On, AdaptiveMode::ForceSkip] {
             for threads in [1, 4] {
-                for strategy in [ExecStrategy::Streaming, ExecStrategy::Materialized] {
-                    let out = TopologyJoin::new()
-                        .adaptive(mode)
-                        .threads(threads)
-                        .strategy(strategy)
-                        .run(&l, &r);
-                    assert_eq!(
-                        sorted_links(out.links),
-                        sorted_links(base.links.clone()),
-                        "{mode:?} × {threads} threads × {strategy:?}"
-                    );
-                    assert_eq!(out.candidates, base.candidates);
-                    assert_eq!(out.stats.pairs, base.stats.pairs);
-                    assert_eq!(
-                        out.stats.by_mbr, base.stats.by_mbr,
-                        "MBR stage is untouched"
-                    );
-                    let report = out.adaptive.expect("enabled mode reports a trace");
-                    assert_eq!(report.mode, mode);
-                }
+                let out = TopologyJoin::new()
+                    .adaptive(mode)
+                    .threads(threads)
+                    .run(&l, &r);
+                assert_eq!(
+                    sorted_links(out.links),
+                    sorted_links(base.links.clone()),
+                    "{mode:?} × {threads} threads"
+                );
+                assert_eq!(out.candidates, base.candidates);
+                assert_eq!(out.stats.pairs, base.stats.pairs);
+                assert_eq!(
+                    out.stats.by_mbr, base.stats.by_mbr,
+                    "MBR stage is untouched"
+                );
+                let report = out.adaptive.expect("enabled mode reports a trace");
+                assert_eq!(report.mode, mode);
             }
         }
     }

@@ -16,6 +16,9 @@
 //!
 //! - [`find_relation`] — the P+C pipeline (Algorithm 1);
 //! - [`relate_p`] — predicate-specific tests (Sec 3.3, Figure 6);
+//! - [`find_relation_adaptive_with`] / [`relate_p_adaptive_with`] — the
+//!   one body behind each of those two, for batch callers holding a
+//!   per-worker scratch and [`AdaptiveWorker`];
 //! - [`baselines`] — the paper's comparison methods ST2 / OP2 / APRIL;
 //! - [`SpatialObject`] / [`Dataset`] — preprocessed join inputs.
 //!
@@ -66,17 +69,12 @@ pub use baselines::{
     find_relation_st2, find_relation_st2_with,
 };
 pub use exec::{
-    mbr_class_labels, BoundedJoinResult, ExecStrategy, JoinBounds, JoinMethod, JoinResult, Link,
-    TopologyJoin, STREAM_BATCH_PAIRS,
+    mbr_class_labels, BoundedJoinResult, JoinBounds, JoinMethod, JoinResult, Link, TopologyJoin,
+    STREAM_BATCH_PAIRS,
 };
 pub use filters::{intermediate_filter, IfOutcome};
 pub use object::{Dataset, SpatialObject, DEFAULT_MAX_INTERVALS};
-pub use pipeline::{
-    find_relation, find_relation_profiled, find_relation_profiled_with, find_relation_with, refine,
-    refine_with, Determination, FindOutcome, PipelineStats,
-};
-pub use relate_pred::{
-    relate_p, relate_p_profiled, relate_p_profiled_with, RelateDetermination, RelateOutcome,
-};
+pub use pipeline::{find_relation, refine_with, Determination, FindOutcome, PipelineStats};
+pub use relate_pred::{relate_p, RelateDetermination, RelateOutcome};
 pub use sharded::{external_join, hilbert_partition, ShardPlan, ShardSet, Side};
 pub use stj_de9im::RelateScratch;

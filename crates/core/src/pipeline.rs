@@ -5,12 +5,16 @@
 //! interval lists (Sec 3.2), and only when the filter cannot decide,
 //! compute the DE-9IM matrix and match candidate masks specific→general
 //! (selective refinement).
+//!
+//! This module holds the pipeline's outcome types, selective refinement
+//! and the [`find_relation`] quickstart. The one pipeline body is
+//! [`find_relation_adaptive_with`]: the paper's static pipeline is that
+//! body under [`crate::AdaptiveMode::Off`].
 
+use crate::adaptive::{find_relation_adaptive_with, with_off_worker};
 use crate::arena::ObjectRef;
-use crate::filters::{intermediate_filter, IfOutcome};
 use stj_de9im::{relate_with, RelateScratch, TopoRelation};
-use stj_index::MbrRelation;
-use stj_obs::{Disabled, Profiler, Stage};
+use stj_obs::{Disabled, Stage};
 
 /// How a pair's relation was determined — the pipeline stage that
 /// produced the answer.
@@ -48,19 +52,13 @@ pub struct FindOutcome {
     pub determination: Determination,
 }
 
-/// Selective refinement: computes the DE-9IM matrix and resolves the most
-/// specific relation.
+/// Selective refinement: computes the DE-9IM matrix through
+/// caller-owned scratch memory and resolves the most specific relation.
 ///
 /// `candidates` — the narrowed, specific→general list produced by the
 /// MBR/intermediate filters — is consulted only by a debug assertion
 /// validating the filters' soundness argument (the true relation must be
 /// in the set); the returned relation is derived from the matrix alone.
-pub fn refine(r: ObjectRef<'_>, s: ObjectRef<'_>, candidates: &[TopoRelation]) -> TopoRelation {
-    refine_with(r, s, candidates, &mut RelateScratch::default())
-}
-
-/// [`refine`] through caller-owned scratch memory — the hot-path variant
-/// the executors use, allocation-free once the scratch is warm.
 pub fn refine_with(
     r: ObjectRef<'_>,
     s: ObjectRef<'_>,
@@ -78,88 +76,18 @@ pub fn refine_with(
 
 /// Solves *find relation* for one candidate pair with the paper's P+C
 /// pipeline (Algorithm 1).
-pub fn find_relation(r: ObjectRef<'_>, s: ObjectRef<'_>) -> FindOutcome {
-    find_relation_profiled(r, s, &mut Disabled)
-}
-
-/// [`find_relation`] through caller-owned scratch memory.
-pub fn find_relation_with(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    scratch: &mut RelateScratch,
-) -> FindOutcome {
-    find_relation_profiled_with(r, s, &mut Disabled, scratch)
-}
-
-/// [`find_relation`] with per-stage observation: each stage's latency and
-/// decisions, plus the pair's MBR class, are reported to `prof`.
 ///
-/// Statically dispatched — instantiated with [`Disabled`] (as by
-/// [`find_relation`]) this compiles to the uninstrumented pipeline.
-pub fn find_relation_profiled<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    prof: &mut P,
-) -> FindOutcome {
-    find_relation_profiled_with(r, s, prof, &mut RelateScratch::default())
-}
-
-/// [`find_relation_profiled`] through caller-owned scratch memory — what
-/// the join executors call with their per-worker scratch.
-pub fn find_relation_profiled_with<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    prof: &mut P,
-    scratch: &mut RelateScratch,
-) -> FindOutcome {
-    let t = prof.start();
-    let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
-    prof.stage(Stage::MbrClassify, t);
-    let out = match mbr_rel {
-        MbrRelation::Disjoint => {
-            prof.decided(Stage::MbrClassify);
-            FindOutcome {
-                relation: TopoRelation::Disjoint,
-                determination: Determination::MbrFilter,
-            }
-        }
-        MbrRelation::Cross => {
-            prof.decided(Stage::MbrClassify);
-            FindOutcome {
-                relation: TopoRelation::Intersects,
-                determination: Determination::MbrFilter,
-            }
-        }
-        _ => {
-            let t = prof.start();
-            let filtered = intermediate_filter(mbr_rel, r, s);
-            prof.stage(Stage::IntermediateFilter, t);
-            match filtered {
-                IfOutcome::Definite(relation) => {
-                    prof.decided(Stage::IntermediateFilter);
-                    FindOutcome {
-                        relation,
-                        determination: Determination::IntermediateFilter,
-                    }
-                }
-                IfOutcome::Refine(cands) => {
-                    let t = prof.start();
-                    let relation = refine_with(r, s, cands, scratch);
-                    prof.stage(Stage::Refinement, t);
-                    prof.decided(Stage::Refinement);
-                    FindOutcome {
-                        relation,
-                        determination: Determination::Refinement,
-                    }
-                }
-            }
-        }
-    };
-    prof.mbr_class(
-        mbr_rel as usize,
-        out.determination == Determination::Refinement,
-    );
-    out
+/// The quickstart entry point: runs
+/// [`find_relation_adaptive_with`] under [`AdaptiveMode::Off`] (the
+/// paper's static pipeline) with fresh scratch memory. Batch callers
+/// hold a per-worker scratch and [`crate::AdaptiveWorker`] and call that
+/// body directly.
+///
+/// [`AdaptiveMode::Off`]: crate::AdaptiveMode::Off
+pub fn find_relation(r: ObjectRef<'_>, s: ObjectRef<'_>) -> FindOutcome {
+    with_off_worker(|w| {
+        find_relation_adaptive_with(r, s, &mut Disabled, &mut RelateScratch::default(), w)
+    })
 }
 
 /// Aggregate statistics of a pipeline run over a pair stream.

@@ -11,11 +11,15 @@
 //!    confirm (`rC ⊆ sP` proves containment) or refute (`rC ⊄ sC`
 //!    refutes containment; interior cell contact refutes `meets`).
 //! 3. **Refinement** — DE-9IM as the fallback.
+//!
+//! The layers are `mbr_verdict` and `raster_verdict`; the one body
+//! that sequences them is [`relate_p_adaptive_with`].
 
+use crate::adaptive::{relate_p_adaptive_with, with_off_worker};
 use crate::arena::ObjectRef;
-use stj_de9im::{relate_with, RelateScratch, TopoRelation};
+use stj_de9im::{RelateScratch, TopoRelation};
 use stj_index::MbrRelation;
-use stj_obs::{Disabled, Profiler, Stage};
+use stj_obs::Disabled;
 
 /// How a [`relate_p`] query was answered (for filter-effectiveness
 /// accounting, mirroring [`crate::pipeline::Determination`]).
@@ -40,17 +44,24 @@ pub struct RelateOutcome {
 }
 
 impl RelateOutcome {
-    fn mbr(holds: bool) -> RelateOutcome {
+    pub(crate) fn mbr(holds: bool) -> RelateOutcome {
         RelateOutcome {
             holds,
             determination: RelateDetermination::MbrFilter,
         }
     }
 
-    fn raster(holds: bool) -> RelateOutcome {
+    pub(crate) fn raster(holds: bool) -> RelateOutcome {
         RelateOutcome {
             holds,
             determination: RelateDetermination::IntermediateFilter,
+        }
+    }
+
+    pub(crate) fn refined(holds: bool) -> RelateOutcome {
+        RelateOutcome {
+            holds,
+            determination: RelateDetermination::Refinement,
         }
     }
 }
@@ -131,64 +142,15 @@ pub(crate) fn raster_verdict(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation
 }
 
 /// Tests whether topological relation `p` holds between `r` and `s`.
+///
+/// The quickstart entry point: runs [`relate_p_adaptive_with`] under
+/// [`crate::AdaptiveMode::Off`] (the paper's static filter sequence)
+/// with fresh scratch memory. Batch callers hold a per-worker scratch
+/// and [`crate::AdaptiveWorker`] and call that body directly.
 pub fn relate_p(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation) -> RelateOutcome {
-    relate_p_profiled(r, s, p, &mut Disabled)
-}
-
-/// [`relate_p`] with per-stage observation, mirroring
-/// [`crate::pipeline::find_relation_profiled`]: each layer's latency and
-/// decisions, plus the pair's MBR class, go to `prof`. Instantiated with
-/// [`Disabled`] this compiles to the uninstrumented test.
-pub fn relate_p_profiled<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    p: TopoRelation,
-    prof: &mut P,
-) -> RelateOutcome {
-    relate_p_profiled_with(r, s, p, prof, &mut RelateScratch::default())
-}
-
-/// [`relate_p_profiled`] through caller-owned scratch memory — what the
-/// join executors call with their per-worker scratch.
-pub fn relate_p_profiled_with<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    p: TopoRelation,
-    prof: &mut P,
-    scratch: &mut RelateScratch,
-) -> RelateOutcome {
-    // Layer 1: MBR classification and its short-circuits.
-    let t = prof.start();
-    let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
-    let l1 = mbr_verdict(mbr_rel, p);
-    prof.stage(Stage::MbrClassify, t);
-    if let Some(holds) = l1 {
-        prof.decided(Stage::MbrClassify);
-        prof.mbr_class(mbr_rel as usize, false);
-        return RelateOutcome::mbr(holds);
-    }
-
-    // Layer 2: predicate-specific raster filters.
-    let t = prof.start();
-    let l2 = raster_verdict(r, s, p);
-    prof.stage(Stage::IntermediateFilter, t);
-    if let Some(holds) = l2 {
-        prof.decided(Stage::IntermediateFilter);
-        prof.mbr_class(mbr_rel as usize, false);
-        return RelateOutcome::raster(holds);
-    }
-
-    // Layer 3: refinement.
-    let t = prof.start();
-    let m = relate_with(&r.geom, &s.geom, scratch);
-    let holds = p.holds(&m);
-    prof.stage(Stage::Refinement, t);
-    prof.decided(Stage::Refinement);
-    prof.mbr_class(mbr_rel as usize, true);
-    RelateOutcome {
-        holds,
-        determination: RelateDetermination::Refinement,
-    }
+    with_off_worker(|w| {
+        relate_p_adaptive_with(r, s, p, &mut Disabled, &mut RelateScratch::default(), w)
+    })
 }
 
 #[cfg(test)]

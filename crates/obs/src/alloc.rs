@@ -1,15 +1,27 @@
-//! Allocation attribution: site-tagged counting-allocator hooks.
+//! Allocation counting and attribution: the one counting allocator,
+//! plus site-tagged hooks.
 //!
-//! The join makes millions of small allocations per run (the bench
-//! harness counts ~5.6M on the 102k-object OBE self-join), almost all
+//! [`CountingAlloc`] is a passthrough to the system allocator that every
+//! binary or test measuring allocations installs as its
+//! `#[global_allocator]`. It keeps:
+//!
+//! - per-thread call counts ([`thread_alloc_calls`]), so a test can
+//!   measure exactly the threads it runs without counting whatever the
+//!   test harness runs alongside;
+//! - process-wide call, byte, live-byte and peak-live-byte counts
+//!   ([`totals`], [`reset_peak`]);
+//! - the site table below, through [`note_alloc`].
+//!
+//! Every counter is a const-initialized `thread_local` `Cell` or a
+//! relaxed atomic, so counting never allocates or re-enters the
+//! allocator.
+//!
+//! The join once made millions of small allocations per run, almost all
 //! of them in the DE-9IM refine path. Knowing the total is not enough
-//! to attack the problem; this module splits it by *site*.
+//! to attack such a problem; the site table splits it by *site*:
 //!
-//! The mechanism has three parts:
-//!
-//! 1. A binary installs a counting `#[global_allocator]` that forwards
-//!    every allocation's size to [`note_alloc`] (the `stj` CLI and
-//!    `join_bench` both do).
+//! 1. [`CountingAlloc`] forwards every allocation's size to
+//!    [`note_alloc`].
 //! 2. Hot allocation sites in the refine path scope a [`SiteGuard`]
 //!    (via [`enter`]) that tags the current thread with an
 //!    [`AllocSite`] while the guard lives. The tag lives in a
@@ -26,6 +38,7 @@
 //! tag set while tracking is off is never read.
 
 use crate::json::Json;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
@@ -213,6 +226,111 @@ impl AllocSnapshot {
 /// Takes [`AllocSnapshot::capture`]; alias kept for call-site brevity.
 pub fn snapshot() -> AllocSnapshot {
     AllocSnapshot::capture()
+}
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocator calls made by this thread. Const-initialized and
+    /// drop-free, so the allocator can bump it without allocating.
+    static THREAD_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The counting global allocator: a passthrough to [`System`] that
+/// counts every `alloc`, `alloc_zeroed` and `realloc` (a growing `Vec`
+/// re-entering the allocator is churn too) per thread and process-wide,
+/// tracks live and peak bytes, and feeds [`note_alloc`].
+///
+/// ```
+/// #[global_allocator]
+/// static GLOBAL: stj_obs::CountingAlloc = stj_obs::CountingAlloc;
+///
+/// fn main() {
+///     let before = stj_obs::alloc::thread_alloc_calls();
+///     let v = std::hint::black_box(vec![7u8; 64]);
+///     assert_eq!(stj_obs::alloc::thread_alloc_calls() - before, 1);
+///     assert!(stj_obs::alloc::totals().live_bytes >= v.len() as u64);
+/// }
+/// ```
+pub struct CountingAlloc;
+
+impl CountingAlloc {
+    #[inline]
+    fn count(size: usize) {
+        // TLS may be gone during thread teardown; the process-wide
+        // counters still see the call.
+        let _ = THREAD_CALLS.try_with(|c| c.set(c.get() + 1));
+        CALLS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(size as u64, Relaxed);
+        let live = LIVE_BYTES.fetch_add(size as u64, Relaxed) + size as u64;
+        PEAK_BYTES.fetch_max(live, Relaxed);
+        note_alloc(size);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CountingAlloc::count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CountingAlloc::count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
+        CountingAlloc::count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// Allocator calls the calling thread has made so far under
+/// [`CountingAlloc`] (always 0 when it is not installed). Diff two
+/// readings on one thread to measure exactly that thread's window.
+pub fn thread_alloc_calls() -> u64 {
+    THREAD_CALLS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Process-wide counts of [`CountingAlloc`] since process start.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AllocTotals {
+    /// `alloc`, `alloc_zeroed` and `realloc` calls.
+    pub calls: u64,
+    /// Bytes requested by those calls.
+    pub bytes: u64,
+    /// Bytes currently allocated.
+    pub live_bytes: u64,
+    /// High-water mark of `live_bytes` since the last [`reset_peak`].
+    pub peak_bytes: u64,
+}
+
+/// Reads the process-wide [`CountingAlloc`] counters.
+pub fn totals() -> AllocTotals {
+    AllocTotals {
+        calls: CALLS.load(Relaxed),
+        bytes: BYTES.load(Relaxed),
+        live_bytes: LIVE_BYTES.load(Relaxed),
+        peak_bytes: PEAK_BYTES.load(Relaxed),
+    }
+}
+
+/// Restarts the peak-live-bytes high-water mark at the current live
+/// bytes, and returns them: bracket a run with this and
+/// [`totals`]`().peak_bytes` to get its peak over the starting heap.
+pub fn reset_peak() -> u64 {
+    let live = LIVE_BYTES.load(Relaxed);
+    PEAK_BYTES.store(live, Relaxed);
+    live
 }
 
 #[cfg(test)]

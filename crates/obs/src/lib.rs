@@ -23,8 +23,9 @@
 //!   (`stj join --trace`, loadable in Perfetto);
 //! - [`sched`] — per-worker busy/idle/task-claim/skew-split tallies
 //!   and the derived imbalance ratio for the streaming executor;
-//! - [`alloc`] — site-tagged allocation attribution fed by a counting
-//!   `#[global_allocator]` in the binaries;
+//! - [`alloc`] — the one counting `#[global_allocator]`
+//!   ([`alloc::CountingAlloc`]: per-thread and process-wide counts) and
+//!   the site-tagged allocation attribution it feeds;
 //! - [`prom`] — a Prometheus text-exposition writer over the service
 //!   metrics (`stj serve`'s `/metrics` endpoint).
 //!
@@ -42,7 +43,7 @@ pub mod prom;
 pub mod sched;
 pub mod trace;
 
-pub use alloc::{AllocSite, AllocSnapshot};
+pub use alloc::{AllocSite, AllocSnapshot, AllocTotals, CountingAlloc};
 pub use hist::Histogram;
 pub use json::Json;
 pub use metrics::{Counter, Gauge, SharedHistogram};

@@ -23,8 +23,8 @@ use crate::{Generation, LoadedDataset, ServeCtx};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use stj_core::{
-    find_relation_adaptive_with, find_relation_with, linking::geosparql_property, AdaptiveWorker,
-    RelateScratch, SpatialObject, DEFAULT_MAX_INTERVALS,
+    find_relation_adaptive_with, linking::geosparql_property, AdaptiveWorker, RelateScratch,
+    SpatialObject, DEFAULT_MAX_INTERVALS,
 };
 use stj_de9im::TopoRelation;
 use stj_geom::Polygon;
@@ -64,6 +64,16 @@ impl DiscoverFormat {
     }
 }
 
+/// How a discover job renders its links: the serialization, and the
+/// name its probe-side URNs carry (`urn:stj:<name>:<index>`).
+#[derive(Clone, Copy, Debug)]
+pub struct ProbeOutput<'a> {
+    /// The output serialization.
+    pub format: DiscoverFormat,
+    /// The probe set's dataset name.
+    pub probe_name: &'a str,
+}
+
 /// Runs one probe polygon against a dataset and appends its output
 /// lines to `out`. Returns `(candidates, links)` for this probe.
 ///
@@ -74,10 +84,9 @@ pub fn discover_probe(
     ds: &LoadedDataset,
     probe_idx: u64,
     polygon: Polygon,
-    probe_name: &str,
-    format: DiscoverFormat,
+    render: ProbeOutput<'_>,
     scratch: &mut RelateScratch,
-    adaptive: &mut Option<AdaptiveWorker<'_>>,
+    adaptive: &mut AdaptiveWorker<'_>,
     out: &mut String,
 ) -> (u64, u64) {
     let probe = SpatialObject::build_with_budget(polygon, &ds.grid, DEFAULT_MAX_INTERVALS);
@@ -88,21 +97,18 @@ pub fn discover_probe(
         });
     let mut links = 0u64;
     for &id in &candidates {
-        let o = match adaptive.as_mut() {
-            Some(w) => find_relation_adaptive_with(
-                probe.view(),
-                ds.arena.object(id as usize),
-                &mut stj_obs::Disabled,
-                scratch,
-                w,
-            ),
-            None => find_relation_with(probe.view(), ds.arena.object(id as usize), scratch),
-        };
+        let o = find_relation_adaptive_with(
+            probe.view(),
+            ds.arena.object(id as usize),
+            &mut stj_obs::Disabled,
+            scratch,
+            adaptive,
+        );
         if o.relation == TopoRelation::Disjoint {
             continue;
         }
         links += 1;
-        match format {
+        match render.format {
             DiscoverFormat::Ndjson => {
                 let _ = writeln!(
                     out,
@@ -116,7 +122,8 @@ pub fn discover_probe(
                 // property only.
                 let _ = writeln!(
                     out,
-                    "<urn:stj:{probe_name}:{probe_idx}> <{}> <urn:stj:{}:{id}> .",
+                    "<urn:stj:{}:{probe_idx}> <{}> <urn:stj:{}:{id}> .",
+                    render.probe_name,
                     geosparql_property(o.relation),
                     ds.name
                 );
@@ -187,11 +194,11 @@ impl DiscoverStream {
         let ds = &self.generation.datasets[self.ds_idx];
         // A fresh per-chunk view of the resident adaptive model: chunk
         // pairs feed the shared warm-up, settled verdicts apply.
-        let mut adaptive = ctx
-            .config
-            .adaptive
-            .enabled()
-            .then(|| AdaptiveWorker::new(&ctx.adaptive));
+        let mut adaptive = AdaptiveWorker::new(&ctx.adaptive);
+        let render = ProbeOutput {
+            format: self.format,
+            probe_name: &self.probe_name,
+        };
         let mut out = String::with_capacity(CHUNK_TARGET_BYTES + 1024);
         while self.next < self.probes.len() && out.len() < CHUNK_TARGET_BYTES {
             let polygon = self.probes[self.next].clone();
@@ -199,8 +206,7 @@ impl DiscoverStream {
                 ds,
                 self.next as u64,
                 polygon,
-                &self.probe_name,
-                self.format,
+                render,
                 scratch,
                 &mut adaptive,
                 &mut out,
@@ -209,9 +215,7 @@ impl DiscoverStream {
             self.links += links;
             self.next += 1;
         }
-        if let Some(w) = &mut adaptive {
-            w.flush();
-        }
+        adaptive.flush();
         if self.next >= self.probes.len() {
             self.finished = true;
             if self.format == DiscoverFormat::Ndjson {

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stj_core::{
-    find_relation_adaptive_with, find_relation_with, AdaptiveWorker, Determination, JoinBounds,
+    find_relation, find_relation_adaptive_with, AdaptiveWorker, Determination, JoinBounds,
     JoinMethod, RelateScratch, SpatialObject, TopologyJoin, DEFAULT_MAX_INTERVALS,
 };
 use stj_de9im::TopoRelation;
@@ -171,12 +171,15 @@ pub fn dispatch_reply(
     let gen = ctx.generation();
     let full = |r: Response| Reply::Full(r);
     match (method, path) {
-        ("GET", "/healthz") => full(Response::json(200, &Json::object([("ok", Json::Bool(true))]))),
+        ("GET", "/healthz") => full(Response::json(
+            200,
+            &Json::object([("ok", Json::Bool(true))]),
+        )),
         ("GET", "/stats") => full(handle_stats(ctx, &gen)),
         ("GET", "/metrics") => full(handle_metrics(ctx, &gen)),
         ("GET", "/v1/datasets") => full(handle_datasets(&gen)),
         ("POST", "/v1/relate") => full(handle_relate(ctx, &gen, query, body, scratch)),
-        ("GET", "/v1/pair") => full(handle_pair(&gen, query, scratch)),
+        ("GET", "/v1/pair") => full(handle_pair(&gen, query)),
         ("POST", "/v1/join") => full(handle_join(ctx, &gen, query)),
         ("POST", "/v1/discover") => handle_discover(gen, query, body),
         ("POST", "/v1/admin/reload") => full(handle_reload(ctx, body)),
@@ -372,10 +375,7 @@ fn handle_metrics(ctx: &ServeCtx, gen: &Generation) -> Response {
         &[],
         s.write_backlog_bytes.get() as f64,
     );
-    for (cause, counter) in [
-        ("idle", &s.idle_timeouts),
-        ("header", &s.header_timeouts),
-    ] {
+    for (cause, counter) in [("idle", &s.idle_timeouts), ("header", &s.header_timeouts)] {
         w.counter(
             "stj_serve_connection_timeouts_total",
             "Connections closed by a deadline, by cause.",
@@ -580,12 +580,9 @@ fn handle_relate(
         });
 
     // Per-request view of the resident model: this request's pairs feed
-    // the shared warm-up, and settled skip verdicts apply immediately.
-    let mut adaptive = ctx
-        .config
-        .adaptive
-        .enabled()
-        .then(|| AdaptiveWorker::new(&ctx.adaptive));
+    // the shared warm-up, and settled skip verdicts apply immediately
+    // (under `--adaptive off` every verdict is a constant keep).
+    let mut adaptive = AdaptiveWorker::new(&ctx.adaptive);
     let mut matches = Json::Arr(Vec::new());
     let mut match_count: u64 = 0;
     let mut truncated = false;
@@ -595,16 +592,13 @@ fn handle_relate(
             truncated = true;
             break;
         }
-        let out = match adaptive.as_mut() {
-            Some(w) => find_relation_adaptive_with(
-                probe.view(),
-                ds.arena.object(id as usize),
-                &mut stj_obs::Disabled,
-                scratch,
-                w,
-            ),
-            None => find_relation_with(probe.view(), ds.arena.object(id as usize), scratch),
-        };
+        let out = find_relation_adaptive_with(
+            probe.view(),
+            ds.arena.object(id as usize),
+            &mut stj_obs::Disabled,
+            scratch,
+            &mut adaptive,
+        );
         if out.relation == TopoRelation::Disjoint {
             continue;
         }
@@ -625,11 +619,9 @@ fn handle_relate(
         }
     }
 
-    if let Some(w) = &mut adaptive {
-        // Fold this request's partial window into the resident model so
-        // warm-up progresses across requests.
-        w.flush();
-    }
+    // Fold this request's partial window into the resident model so
+    // warm-up progresses across requests.
+    adaptive.flush();
 
     let doc = Json::object([
         ("dataset", Json::str(ds.name.clone())),
@@ -703,11 +695,7 @@ fn resolve_object<'g>(
     Ok((ds, idx))
 }
 
-fn handle_pair(
-    gen: &Generation,
-    query: &[(String, String)],
-    scratch: &mut RelateScratch,
-) -> Response {
+fn handle_pair(gen: &Generation, query: &[(String, String)]) -> Response {
     let (left, i) = match resolve_object(gen, query, "left", "i") {
         Ok(v) => v,
         Err(r) => return r,
@@ -723,7 +711,7 @@ fn handle_pair(
             "datasets were preprocessed on different grids; relations cannot be compared",
         );
     }
-    let out = find_relation_with(left.arena.object(i), right.arena.object(j), scratch);
+    let out = find_relation(left.arena.object(i), right.arena.object(j));
     Response::json(
         200,
         &Json::object([
@@ -919,9 +907,7 @@ fn handle_reload(ctx: &ServeCtx, body: &[u8]) -> Response {
                 ]),
             )
         }
-        Err(e) if e.contains("no dataset paths") => {
-            Response::error(409, "reload_unavailable", e)
-        }
+        Err(e) if e.contains("no dataset paths") => Response::error(409, "reload_unavailable", e),
         Err(e) => Response::error(500, "reload_failed", e),
     }
 }
@@ -1136,7 +1122,10 @@ mod tests {
         let r = dispatch(&ctx, "GET", "/v1/pair", &q, b"");
         assert_eq!(r.status, 200);
         let gen = ctx.generation();
-        let expect = find_relation(gen.datasets[0].arena.object(1), gen.datasets[0].arena.object(0));
+        let expect = find_relation(
+            gen.datasets[0].arena.object(1),
+            gen.datasets[0].arena.object(0),
+        );
         assert!(
             body_str(&r).contains(&format!("\"relation\": \"{}\"", expect.relation)),
             "{}",
@@ -1249,13 +1238,25 @@ mod tests {
         let q = vec![("dataset".to_string(), "boxes".to_string())];
         assert_eq!(dispatch(&ctx, "POST", "/v1/discover", &q, b"").status, 400);
         let q = vec![("dataset".to_string(), "nope".to_string())];
-        let r = dispatch(&ctx, "POST", "/v1/discover", &q, b"POLYGON((0 0,1 0,1 1,0 0))");
+        let r = dispatch(
+            &ctx,
+            "POST",
+            "/v1/discover",
+            &q,
+            b"POLYGON((0 0,1 0,1 1,0 0))",
+        );
         assert_eq!(r.status, 404);
         let q = vec![
             ("dataset".to_string(), "boxes".to_string()),
             ("format".to_string(), "xml".to_string()),
         ];
-        let r = dispatch(&ctx, "POST", "/v1/discover", &q, b"POLYGON((0 0,1 0,1 1,0 0))");
+        let r = dispatch(
+            &ctx,
+            "POST",
+            "/v1/discover",
+            &q,
+            b"POLYGON((0 0,1 0,1 1,0 0))",
+        );
         assert_eq!(r.status, 400);
         assert!(body_str(&r).contains("unknown format"), "{}", body_str(&r));
     }

@@ -329,18 +329,18 @@ mod imp {
             }
         }
 
-        /// Queues a fresh request; hands it back when the lane is full
-        /// so the caller can shed it.
-        fn push_fresh(&self, job: Job, stats: &crate::ServeStats) -> Result<(), Job> {
+        /// Queues a fresh request. Returns `false`, dropping the job,
+        /// when the lane is full so the caller can shed the request.
+        fn push_fresh(&self, job: Job, stats: &crate::ServeStats) -> bool {
             let mut q = self.state.lock().expect("job queue lock");
             if q.fresh.len() >= self.depth {
-                return Err(job);
+                return false;
             }
             q.fresh.push_back(job);
             stats.queue_depth.set(q.fresh.len() as u64);
             drop(q);
             self.ready.notify_one();
-            Ok(())
+            true
         }
 
         fn push_cont(&self, job: Job) {
@@ -452,8 +452,14 @@ mod imp {
         let (endpoint, reply) = match parsed {
             ParsedRequest::Http(req) => {
                 let endpoint = query::endpoint_of(&req.path);
-                let reply =
-                    query::dispatch_reply(ctx, &req.method, &req.path, &req.query, &req.body, scratch);
+                let reply = query::dispatch_reply(
+                    ctx,
+                    &req.method,
+                    &req.path,
+                    &req.query,
+                    &req.body,
+                    scratch,
+                );
                 (endpoint, reply)
             }
             ParsedRequest::Framed(req) => {
@@ -559,7 +565,11 @@ mod imp {
                         });
                         let conn = Conn::new(sock, epoch);
                         let fd = conn.sock.as_raw_fd();
-                        if self.epoll.add(fd, token_of(idx, epoch), sys::EPOLLIN).is_err() {
+                        if self
+                            .epoll
+                            .add(fd, token_of(idx, epoch), sys::EPOLLIN)
+                            .is_err()
+                        {
                             self.free.push(idx);
                             continue;
                         }
@@ -688,24 +698,18 @@ mod imp {
                         enqueued: Instant::now(),
                         trace_id,
                     };
-                    match self.jobs.push_fresh(job, stats) {
-                        Ok(()) => {
-                            let conn = self.slots[idx].as_mut().expect("checked above");
-                            conn.phase = Phase::Dispatched;
-                            // Interest stays readable so a peer close is
-                            // noticed; new bytes just buffer.
-                        }
-                        Err(_job) => {
-                            // Queue full: shed THIS request, keep the
-                            // connection (clients retry after 1s).
-                            stats.rejected_429.inc();
-                            let resp = Response::error(
-                                429,
-                                "overloaded",
-                                "job queue full, retry later",
-                            );
-                            self.enqueue_and_flush(idx, &resp, keep_alive_hint);
-                        }
+                    if self.jobs.push_fresh(job, stats) {
+                        let conn = self.slots[idx].as_mut().expect("checked above");
+                        conn.phase = Phase::Dispatched;
+                        // Interest stays readable so a peer close is
+                        // noticed; new bytes just buffer.
+                    } else {
+                        // Queue full: shed THIS request, keep the
+                        // connection (clients retry after 1s).
+                        stats.rejected_429.inc();
+                        let resp =
+                            Response::error(429, "overloaded", "job queue full, retry later");
+                        self.enqueue_and_flush(idx, &resp, keep_alive_hint);
                     }
                 }
             }
@@ -776,8 +780,7 @@ mod imp {
                 (conn.streaming, token_of(idx, conn.epoch))
             };
             if streaming {
-                let pending = self
-                    .slots[idx]
+                let pending = self.slots[idx]
                     .as_mut()
                     .and_then(|c| c.pending_stream.take());
                 match pending {
@@ -896,9 +899,7 @@ mod imp {
                     Phase::Reading => match conn.head_started {
                         // Wall-clock from first head byte: activity does
                         // NOT reset it — that is exactly the attack.
-                        Some(hs) if now.duration_since(hs) >= header => {
-                            Some(TimeoutCause::Header)
-                        }
+                        Some(hs) if now.duration_since(hs) >= header => Some(TimeoutCause::Header),
                         Some(_) => None,
                         None if now.duration_since(conn.last_activity) >= idle => {
                             Some(TimeoutCause::Idle)
@@ -907,9 +908,7 @@ mod imp {
                     },
                     // A stalled writer (including a slow stream reader)
                     // is bounded by write progress.
-                    Phase::Writing
-                        if now.duration_since(conn.last_activity) >= idle =>
-                    {
+                    Phase::Writing if now.duration_since(conn.last_activity) >= idle => {
                         Some(TimeoutCause::Idle)
                     }
                     // Dispatched work is bounded by the handler
@@ -953,7 +952,11 @@ mod imp {
 
     /// The reactor entry point: spawns the worker pool and runs the
     /// event loop on the calling thread until shutdown + drain.
-    pub fn run(listener: TcpListener, ctx: Arc<ServeCtx>, shutdown: ShutdownFlag) -> io::Result<()> {
+    pub fn run(
+        listener: TcpListener,
+        ctx: Arc<ServeCtx>,
+        shutdown: ShutdownFlag,
+    ) -> io::Result<()> {
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
         let waker = Arc::new(EventFd::new()?);
@@ -1022,8 +1025,7 @@ mod imp {
                     Ok(n) => n,
                     Err(e) => break Err(e),
                 };
-                for i in 0..n {
-                    let ev = events[i];
+                for ev in &events[..n] {
                     let token = ev.data;
                     let mask = ev.events;
                     match token {
@@ -1113,7 +1115,11 @@ mod imp {
 
             let mut framed = crate::Client::new(addr.to_string(), true);
             let (status, body) = framed
-                .request("POST", "/v1/relate?dataset=boxes", b"POLYGON((22 22, 28 22, 28 28, 22 28, 22 22))")
+                .request(
+                    "POST",
+                    "/v1/relate?dataset=boxes",
+                    b"POLYGON((22 22, 28 22, 28 28, 22 28, 22 22))",
+                )
                 .expect("relate");
             assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
             assert!(String::from_utf8_lossy(&body).contains("inside"));

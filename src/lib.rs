@@ -79,9 +79,9 @@ pub use stj_store as store;
 
 pub use stj_core::{
     find_relation, find_relation_april, find_relation_op2, find_relation_st2, relate_p,
-    AdaptiveMode, AdaptiveModel, AdaptiveReport, Dataset, DatasetArena, Determination,
-    ExecStrategy, FindOutcome, JoinMethod, JoinResult, Link, ObjectRef, PipelineStats,
-    RelateDetermination, RelateOutcome, SpatialObject, TopologyJoin,
+    AdaptiveMode, AdaptiveModel, AdaptiveReport, Dataset, DatasetArena, Determination, FindOutcome,
+    JoinMethod, JoinResult, Link, ObjectRef, PipelineStats, RelateDetermination, RelateOutcome,
+    SpatialObject, TopologyJoin,
 };
 pub use stj_de9im::{relate, De9Im, Mask, TopoRelation};
 pub use stj_geom::{MultiPolygon, Point, Polygon, Rect, Ring, Segment};
@@ -92,8 +92,8 @@ pub use stj_raster::{AprilApprox, Grid, IntervalList};
 pub mod prelude {
     pub use stj_core::{
         find_relation, find_relation_april, find_relation_op2, find_relation_st2, relate_p,
-        AdaptiveMode, Dataset, DatasetArena, Determination, ExecStrategy, FindOutcome, JoinMethod,
-        Link, ObjectRef, PipelineStats, SpatialObject, TopologyJoin,
+        AdaptiveMode, Dataset, DatasetArena, Determination, FindOutcome, JoinMethod, Link,
+        ObjectRef, PipelineStats, SpatialObject, TopologyJoin,
     };
     pub use stj_de9im::{relate, De9Im, TopoRelation};
     pub use stj_geom::{MultiPolygon, Point, Polygon, Rect, Ring, Segment};

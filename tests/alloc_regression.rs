@@ -15,42 +15,24 @@
 //! the differential check harness uses — so the guard covers shared
 //! edges, vertex contact, hole boundaries, collinear slivers and the
 //! degenerate MBR ties, not just friendly rectangles.
+//!
+//! Counts are per thread: each measured thread diffs its own
+//! [`thread_alloc_calls`] around its steady pass, so allocations by
+//! other tests running in parallel in this binary never leak into the
+//! measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Barrier;
 
 use stjoin::datagen::adversarial::adversarial_pair;
 use stjoin::de9im::{relate_with, RelateScratch};
+use stjoin::obs::alloc::thread_alloc_calls;
 use stjoin::Polygon;
 
-/// Counts every allocator entry point process-wide. `realloc` and
-/// `alloc_zeroed` count too: a growing `Vec` re-entering the
-/// allocator is exactly the churn this test exists to catch.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
+/// Counts every allocator entry point, per thread. `realloc` and
+/// `alloc_zeroed` count too: a growing `Vec` re-entering the allocator
+/// is exactly the churn this test exists to catch.
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static COUNTER: stjoin::obs::CountingAlloc = stjoin::obs::CountingAlloc;
 
 /// Pairs per corpus: several full rotations of the 11 adversarial
 /// categories.
@@ -87,16 +69,15 @@ fn steady_state_relate_is_allocation_free_single_thread() {
     // Warm-up: grow every scratch buffer to the corpus high-water mark.
     let expect = run_corpus(&pairs, &mut scratch);
 
-    let before = ALLOC_CALLS.load(Relaxed);
+    let before = thread_alloc_calls();
     let got = run_corpus(&pairs, &mut scratch);
-    let after = ALLOC_CALLS.load(Relaxed);
+    let allocs = thread_alloc_calls() - before;
 
     assert_eq!(got, expect, "scratch reuse changed relate results");
     assert_eq!(
-        after - before,
+        allocs,
         0,
-        "steady-state refinement allocated {} times over {} pairs",
-        after - before,
+        "steady-state refinement allocated {allocs} times over {} pairs",
         pairs.len()
     );
 }
@@ -106,40 +87,35 @@ fn steady_state_relate_is_allocation_free_four_threads() {
     const THREADS: usize = 4;
     let pairs = corpus(0xA110C4);
 
-    // Three rendezvous points bracket the measured window: after all
-    // warm-ups, around the steady phase. Only `run_corpus` executes
-    // between `start` and `done`, so any count observed there is real
-    // refine-path churn. (Barrier waits are futex-based and do not
-    // allocate.)
-    let warmed = Barrier::new(THREADS + 1);
-    let start = Barrier::new(THREADS + 1);
-    let done = Barrier::new(THREADS + 1);
+    // All workers warm up before any steady pass starts, so the steady
+    // passes run concurrently — the contention regime the per-worker
+    // arenas exist for. Each worker counts only its own steady pass.
+    let warmed = Barrier::new(THREADS);
 
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            scope.spawn(|| {
-                // Per-worker arena, exactly like the streaming executor
-                // and the serve pool.
-                let mut scratch = RelateScratch::default();
-                let expect = run_corpus(&pairs, &mut scratch);
-                warmed.wait();
-                start.wait();
-                let got = run_corpus(&pairs, &mut scratch);
-                done.wait();
-                assert_eq!(got, expect, "scratch reuse changed relate results");
-            });
-        }
-
-        warmed.wait();
-        let before = ALLOC_CALLS.load(Relaxed);
-        start.wait();
-        done.wait();
-        let after = ALLOC_CALLS.load(Relaxed);
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state refinement allocated {} times across {THREADS} threads",
-            after - before
-        );
+    let allocs: u64 = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Per-worker arena, exactly like the streaming
+                    // executor and the serve pool.
+                    let mut scratch = RelateScratch::default();
+                    let expect = run_corpus(&pairs, &mut scratch);
+                    warmed.wait();
+                    let before = thread_alloc_calls();
+                    let got = run_corpus(&pairs, &mut scratch);
+                    let allocs = thread_alloc_calls() - before;
+                    assert_eq!(got, expect, "scratch reuse changed relate results");
+                    allocs
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker panicked"))
+            .sum()
     });
+    assert_eq!(
+        allocs, 0,
+        "steady-state refinement allocated {allocs} times across {THREADS} threads"
+    );
 }

@@ -1,13 +1,15 @@
-//! Differential property suite for the two `TopologyJoin` executors:
-//! over seeded datasets spanning several tiling resolutions, skew
-//! shapes, and edge cases, the streaming fused executor must produce
-//! exactly the materialized executor's links (up to order), its
-//! `PipelineStats`, its candidate count, and its profile totals — at
-//! every thread count, in find-relation and predicate mode.
+//! Differential property suite for the `TopologyJoin` executor: over
+//! seeded datasets spanning several tiling resolutions, skew shapes, and
+//! edge cases, the streaming fused executor must reproduce a
+//! brute-force nested loop over every left×right pair
+//! (`stjoin::check::nested_loop_join`, no tiling) exactly — its links,
+//! its `PipelineStats`, one candidate per MBR-intersecting pair, and
+//! profile totals consistent with those stats — at every thread count,
+//! for every method and in predicate mode.
 
+use stjoin::check::nested_loop_join;
 use stjoin::obs::Stage;
 use stjoin::prelude::*;
-
 /// Deterministic xorshift64* in [0, 1).
 struct Rng(u64);
 
@@ -45,56 +47,77 @@ fn sorted_links(mut links: Vec<Link>) -> Vec<Link> {
     links
 }
 
-/// Runs both executors over the configuration across thread counts
-/// (including `0` = auto-detect) and asserts full equivalence: links,
-/// stats, candidates, and exact profile totals.
-fn assert_equivalent(label: &str, left: &DatasetArena, right: &DatasetArena, join: TopologyJoin) {
-    let baseline = join
-        .strategy(ExecStrategy::Materialized)
-        .threads(1)
-        .profiled(true)
-        .run(left, right);
-    let base_links = sorted_links(baseline.links.clone());
-    let base_profile = baseline.profile.as_ref().expect("profiled");
-    for strategy in [ExecStrategy::Streaming, ExecStrategy::Materialized] {
-        for threads in [0, 1, 2, 4, 8] {
-            let got = join
-                .strategy(strategy)
-                .threads(threads)
-                .profiled(true)
-                .run(left, right);
-            let tag = format!("{label}: {strategy:?} x{threads}");
-            assert_eq!(got.candidates, baseline.candidates, "{tag}: candidates");
-            assert_eq!(got.stats, baseline.stats, "{tag}: stats");
-            assert_eq!(sorted_links(got.links.clone()), base_links, "{tag}: links");
-            let profile = got.profile.as_ref().expect("profiled");
+/// Runs the streaming executor over the configuration across thread
+/// counts (including `0` = auto-detect) and asserts full equivalence
+/// with the nested-loop reference: links, stats, candidates, and the
+/// profile's decided counts, latency sample counts and per-MBR-class
+/// pair counts.
+fn assert_equivalent(
+    label: &str,
+    left: &DatasetArena,
+    right: &DatasetArena,
+    method: JoinMethod,
+    predicate: Option<TopoRelation>,
+) {
+    let reference = nested_loop_join(left, right, method, predicate);
+    let st = reference.stats;
+    // The P+C body and `relate_p` classify every candidate once and run
+    // the intermediate stage on every pair the MBR stage leaves open;
+    // baselines time each pair once, under the stage that decided it.
+    let instrumented = method == JoinMethod::PC || predicate.is_some();
+    let expected_latency = |stage: Stage| match (stage, instrumented) {
+        (Stage::MbrClassify, true) => st.pairs,
+        (Stage::IntermediateFilter, true) => st.pairs - st.by_mbr,
+        (Stage::MbrClassify, false) => st.by_mbr,
+        (Stage::IntermediateFilter, false) => st.by_intermediate,
+        (Stage::Refinement, _) => st.refined,
+    };
+    let mut class_pairs = [0u64; 6];
+    if instrumented {
+        for lm in left.mbrs() {
+            for rm in right.mbrs() {
+                if lm.intersects(rm) {
+                    class_pairs[MbrRelation::classify(lm, rm) as usize] += 1;
+                }
+            }
+        }
+    }
+    let mut join = TopologyJoin::new().method(method);
+    if let Some(p) = predicate {
+        join = join.predicate(p);
+    }
+    for threads in [0, 1, 2, 4, 8] {
+        let got = join.threads(threads).profiled(true).run(left, right);
+        let tag = format!("{label}: x{threads}");
+        assert_eq!(got.candidates, reference.candidates, "{tag}: candidates");
+        assert_eq!(got.stats, reference.stats, "{tag}: stats");
+        assert_eq!(
+            sorted_links(got.links.clone()),
+            reference.links,
+            "{tag}: links"
+        );
+        let profile = got.profile.as_ref().expect("profiled");
+        assert_eq!(profile.pairs_decided(), st.pairs, "{tag}: pairs decided");
+        for (stage, decided) in [
+            (Stage::MbrClassify, st.by_mbr),
+            (Stage::IntermediateFilter, st.by_intermediate),
+            (Stage::Refinement, st.refined),
+        ] {
             assert_eq!(
-                profile.pairs_decided(),
-                base_profile.pairs_decided(),
-                "{tag}: pairs decided"
+                profile.stage(stage).decided,
+                decided,
+                "{tag}: {} decided",
+                stage.name()
             );
-            for stage in Stage::ALL {
-                assert_eq!(
-                    profile.stage(stage).decided,
-                    base_profile.stage(stage).decided,
-                    "{tag}: {} decided",
-                    stage.name()
-                );
-                assert_eq!(
-                    profile.stage(stage).latency.count(),
-                    base_profile.stage(stage).latency.count(),
-                    "{tag}: {} latency count",
-                    stage.name()
-                );
-            }
-            for (c, (got_c, base_c)) in profile
-                .classes
-                .iter()
-                .zip(&base_profile.classes)
-                .enumerate()
-            {
-                assert_eq!(got_c.pairs, base_c.pairs, "{tag}: class {c} pairs");
-            }
+            assert_eq!(
+                profile.stage(stage).latency.count(),
+                expected_latency(stage),
+                "{tag}: {} latency count",
+                stage.name()
+            );
+        }
+        for (c, (got_c, want)) in profile.classes.iter().zip(class_pairs).enumerate() {
+            assert_eq!(got_c.pairs, want, "{tag}: class {c} pairs");
         }
     }
 }
@@ -108,7 +131,7 @@ fn random_datasets_across_tiling_resolutions() {
         let extent = Rect::from_coords(-5.0, -5.0, span + 40.0, span + 40.0);
         let l = arena("L", random_rect_polys(n, seed, span, 28.0), extent);
         let r = arena("R", random_rect_polys(n, seed + 100, span, 28.0), extent);
-        assert_equivalent(&format!("random n={n}"), &l, &r, TopologyJoin::new());
+        assert_equivalent(&format!("random n={n}"), &l, &r, JoinMethod::PC, None);
     }
 }
 
@@ -123,7 +146,7 @@ fn skewed_hot_spot_splits_without_divergence() {
     r.extend(random_rect_polys(100, 24, 1000.0, 30.0));
     let l = arena("L", l, extent);
     let r = arena("R", r, extent);
-    assert_equivalent("skewed", &l, &r, TopologyJoin::new());
+    assert_equivalent("skewed", &l, &r, JoinMethod::PC, None);
 }
 
 #[test]
@@ -131,9 +154,9 @@ fn empty_datasets() {
     let extent = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
     let empty = arena("E", vec![], extent);
     let some = arena("S", random_rect_polys(25, 31, 90.0, 10.0), extent);
-    assert_equivalent("empty x empty", &empty, &empty, TopologyJoin::new());
-    assert_equivalent("empty x some", &empty, &some, TopologyJoin::new());
-    assert_equivalent("some x empty", &some, &empty, TopologyJoin::new());
+    assert_equivalent("empty x empty", &empty, &empty, JoinMethod::PC, None);
+    assert_equivalent("empty x some", &empty, &some, JoinMethod::PC, None);
+    assert_equivalent("some x empty", &some, &empty, JoinMethod::PC, None);
 }
 
 #[test]
@@ -145,8 +168,8 @@ fn single_giant_object_replicated_across_all_tiles() {
         extent,
     );
     let many = arena("M", random_rect_polys(400, 41, 980.0, 12.0), extent);
-    assert_equivalent("giant x many", &giant, &many, TopologyJoin::new());
-    assert_equivalent("many x giant", &many, &giant, TopologyJoin::new());
+    assert_equivalent("giant x many", &giant, &many, JoinMethod::PC, None);
+    assert_equivalent("many x giant", &many, &giant, JoinMethod::PC, None);
 }
 
 #[test]
@@ -158,11 +181,11 @@ fn identical_point_like_mbrs() {
     let sq = Polygon::rect(Rect::from_coords(50.0, 50.0, 50.5, 50.5));
     let l = arena("L", vec![sq.clone(); 40], extent);
     let r = arena("R", vec![sq; 30], extent);
-    assert_equivalent("identical mbrs", &l, &r, TopologyJoin::new());
+    assert_equivalent("identical mbrs", &l, &r, JoinMethod::PC, None);
 }
 
 #[test]
-fn all_methods_and_predicate_mode_agree_across_strategies() {
+fn all_methods_and_predicate_mode_match_the_nested_loop() {
     let extent = Rect::from_coords(0.0, 0.0, 520.0, 520.0);
     let l = arena("L", random_rect_polys(220, 51, 500.0, 24.0), extent);
     let r = arena("R", random_rect_polys(220, 52, 500.0, 24.0), extent);
@@ -172,12 +195,7 @@ fn all_methods_and_predicate_mode_agree_across_strategies() {
         JoinMethod::Op2,
         JoinMethod::April,
     ] {
-        assert_equivalent(
-            &format!("{method:?}"),
-            &l,
-            &r,
-            TopologyJoin::new().method(method),
-        );
+        assert_equivalent(&format!("{method:?}"), &l, &r, method, None);
     }
     for predicate in [
         TopoRelation::Intersects,
@@ -188,7 +206,8 @@ fn all_methods_and_predicate_mode_agree_across_strategies() {
             &format!("predicate {predicate:?}"),
             &l,
             &r,
-            TopologyJoin::new().predicate(predicate),
+            JoinMethod::PC,
+            Some(predicate),
         );
     }
 }

@@ -12,39 +12,15 @@
 //! fallback builds) the test still verifies that the fallback open
 //! produces a query-identical arena — it just skips the byte bound.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use stjoin::core::{Dataset, TopologyJoin};
 use stjoin::geom::Rect;
 use stjoin::raster::Grid;
 use stjoin::store::{open_arena, open_arena_from_bytes, write_arena_v2};
 
-struct CountingAlloc;
-
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static COUNTER: stjoin::obs::CountingAlloc = stjoin::obs::CountingAlloc;
 
 #[test]
 fn mapped_open_performs_no_full_file_copy() {
@@ -68,9 +44,9 @@ fn mapped_open_performs_no_full_file_copy() {
         .and_then(|mut f| f.write_all(&bytes))
         .expect("write v2 file");
 
-    let before = ALLOC_BYTES.load(Relaxed);
+    let before = stjoin::obs::alloc::totals().bytes;
     let (opened, ogrid) = open_arena(&path).expect("open v2 file");
-    let open_bytes = ALLOC_BYTES.load(Relaxed) - before;
+    let open_bytes = stjoin::obs::alloc::totals().bytes - before;
     let _ = std::fs::remove_file(&path);
 
     assert_eq!(ogrid, grid);
