@@ -839,7 +839,7 @@ pub fn relate_p_adaptive_with<P: Profiler>(
         let timed = verdict == Verdict::Warming && adaptive.sample_timer();
         let t = prof.start();
         let t0 = timed.then(Instant::now);
-        let l2 = raster_verdict(r, s, p);
+        let l2 = raster_verdict(r.april, s.april, p);
         let april_ns = t0.map(elapsed_ns);
         prof.stage(Stage::IntermediateFilter, t);
         if let Some(holds) = l2 {

@@ -720,9 +720,67 @@ fn validate_columns(
     if verts.iter().any(|v| !v.is_finite()) {
         return Err(err("non-finite vertex coordinate"));
     }
-    check_pool(p_offs, p_pool, "P")?;
-    check_pool(c_offs, c_pool, "C")?;
-    Ok(())
+    let threads = if p_pool.len() + c_pool.len() < PARALLEL_POOL_INTERVALS {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |t| t.get())
+    };
+    check_pools([(p_offs, p_pool, "P"), (c_offs, c_pool, "C")], threads)
+}
+
+/// Combined `P` + `C` pool size, in intervals (16 bytes each), from
+/// which [`validate_columns`] splits the pool checks over worker
+/// threads. Below it (4 MiB) a thread start costs about as much as the
+/// scan it saves — and small opens are common: `stj check` opens one
+/// arena per checked pair.
+const PARALLEL_POOL_INTERVALS: usize = 1 << 18;
+
+/// An interval pool to check: its prefix-offset table (validated
+/// already), the pool and its name in errors.
+type Pool<'a> = (&'a [u64], &'a [(u64, u64)], &'a str);
+
+/// Runs [`check_pool`] over every object of both pools on `threads`
+/// threads (the calling one and `threads - 1` scoped ones): thread `k`
+/// checks the `k`-th of `threads` object ranges of each pool, each range
+/// holding about the same number of intervals. The error returned is
+/// the one a serial pass finds first — the lowest failing object of
+/// the first failing pool — however the threads finish.
+fn check_pools(pools: [Pool<'_>; 2], threads: usize) -> Result<(), ArenaError> {
+    let chunks = pools.map(|(offs, _, _)| object_chunks(offs, threads));
+    let check = |k: usize| -> [Result<(), ArenaError>; 2] {
+        [0, 1].map(|i| {
+            let (offs, pool, what) = pools[i];
+            check_pool(offs, pool, what, chunks[i][k].clone())
+        })
+    };
+    // Outer index: thread (= object range); inner: pool.
+    let results: Vec<[Result<(), ArenaError>; 2]> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads)
+            .map(|k| scope.spawn(move || check(k)))
+            .collect();
+        let mut results = vec![check(0)];
+        results.extend(
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("pool check thread panicked")),
+        );
+        results
+    });
+    let (p, c): (Vec<_>, Vec<_>) = results.into_iter().map(|[p, c]| (p, c)).unzip();
+    p.into_iter().chain(c).collect()
+}
+
+/// Splits the objects of a validated offset table into `parts`
+/// consecutive ranges of about `pool_len / parts` intervals each (empty
+/// ranges allowed).
+fn object_chunks(offs: &[u64], parts: usize) -> Vec<std::ops::Range<usize>> {
+    let n = offs.len() - 1;
+    let total = offs[n];
+    let mut bounds: Vec<usize> = (0..parts)
+        .map(|k| offs[..n].partition_point(|&o| o < total * k as u64 / parts as u64))
+        .collect();
+    bounds.push(n);
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
 /// Validates a prefix-offset table: `n + 1` entries, first 0, monotone
@@ -750,11 +808,17 @@ fn check_offsets(offs: &[u64], n: usize, pool_len: usize, what: &str) -> Result<
     Ok(())
 }
 
-/// Validates that every object span of an interval pool is normalized:
-/// non-empty intervals, sorted, pairwise disjoint and non-adjacent.
-fn check_pool(offs: &[u64], pool: &[(u64, u64)], what: &str) -> Result<(), ArenaError> {
-    for (i, w) in offs.windows(2).enumerate() {
-        let span = &pool[w[0] as usize..w[1] as usize];
+/// Validates that the span of every object in `objects` of an interval
+/// pool is normalized: non-empty intervals, sorted, pairwise disjoint and
+/// non-adjacent. Reports the first failing object.
+fn check_pool(
+    offs: &[u64],
+    pool: &[(u64, u64)],
+    what: &str,
+    objects: std::ops::Range<usize>,
+) -> Result<(), ArenaError> {
+    for i in objects {
+        let span = &pool[offs[i] as usize..offs[i + 1] as usize];
         for &(s, e) in span {
             if e <= s {
                 return Err(err(format!("object {i}: empty {what} interval [{s},{e})")));
@@ -861,6 +925,124 @@ mod tests {
             max: Point::new(0.0, 0.0),
         };
         assert!(DatasetArena::from_columns(c).is_err());
+    }
+
+    /// Columns of `n` triangles with `k` `P` and `k` `C` intervals each
+    /// — pools large enough for the parallel pool check when
+    /// `2 * n * k >= PARALLEL_POOL_INTERVALS`.
+    fn pool_columns(n: usize, k: usize) -> ArenaColumns {
+        let mut c = ArenaColumns {
+            name: "pools".into(),
+            mbrs: vec![Rect::from_coords(0.0, 0.0, 1.0, 1.0); n],
+            interior: vec![Point::new(f64::NAN, f64::NAN); n],
+            p_offs: (0..=n as u64).map(|i| i * k as u64).collect(),
+            c_offs: (0..=n as u64).map(|i| i * k as u64).collect(),
+            obj_ring_offs: (0..=n as u64).collect(),
+            ring_vert_offs: (0..=n as u64).map(|i| 3 * i).collect(),
+            verts: [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+                .iter()
+                .cycle()
+                .take(3 * n)
+                .map(|&(x, y)| Point::new(x, y))
+                .collect(),
+            ..ArenaColumns::default()
+        };
+        for i in 0..n as u64 {
+            for j in 0..k as u64 {
+                let x = (i * k as u64 + j) * 8;
+                c.p_pool.push((x, x + 2));
+                c.c_pool.push((x, x + 3));
+            }
+        }
+        c
+    }
+
+    fn pools(c: &ArenaColumns) -> [Pool<'_>; 2] {
+        [(&c.p_offs, &c.p_pool, "P"), (&c.c_offs, &c.c_pool, "C")]
+    }
+
+    /// Breaks interval `j` of object `obj` in pool `which` ("P" or "C"):
+    /// `empty` makes it empty, otherwise it is made to touch the next
+    /// interval (not normalized).
+    fn corrupt(c: &mut ArenaColumns, which: &str, obj: usize, j: usize, empty: bool) {
+        let (offs, pool) = match which {
+            "P" => (&c.p_offs, &mut c.p_pool),
+            _ => (&c.c_offs, &mut c.c_pool),
+        };
+        let at = offs[obj] as usize + j;
+        if empty {
+            pool[at].1 = pool[at].0;
+        } else {
+            pool[at].1 = pool[at + 1].0;
+        }
+    }
+
+    #[test]
+    fn parallel_pool_check_reports_the_serial_error() {
+        let (n, k) = (4096, 40);
+        let base = pool_columns(n, k);
+        assert!(2 * n * k >= PARALLEL_POOL_INTERVALS);
+        assert!(DatasetArena::from_columns(base.clone()).is_ok());
+        for threads in [2, 3, 4, 7] {
+            assert_eq!(check_pools(pools(&base), threads), Ok(()));
+            let chunks = object_chunks(&base.p_offs, threads);
+            assert_eq!(chunks.len(), threads);
+            // First object, last object, and both sides of every chunk
+            // boundary.
+            let mut objs = vec![0, n - 1];
+            for r in &chunks[1..] {
+                objs.extend([r.start - 1, r.start]);
+            }
+            for which in ["P", "C"] {
+                for &obj in &objs {
+                    for (j, empty) in [(0, true), (k - 2, false), (k - 1, true)] {
+                        let mut c = base.clone();
+                        corrupt(&mut c, which, obj, j, empty);
+                        let serial = check_pools(pools(&c), 1).unwrap_err();
+                        assert!(serial.0.starts_with(&format!("object {obj}: ")), "{serial}");
+                        assert!(serial.0.contains(which), "{serial}");
+                        assert_eq!(check_pools(pools(&c), threads), Err(serial.clone()));
+                        assert_eq!(DatasetArena::from_columns(c).unwrap_err(), serial);
+                    }
+                }
+            }
+            // Two corrupt objects: the lower one is named, whichever
+            // thread finishes first; any P error precedes every C error.
+            let upper = chunks[threads - 1].start;
+            for (lo, hi) in [(0, n - 1), (upper - 1, upper), (1, upper)] {
+                let mut c = base.clone();
+                corrupt(&mut c, "P", hi, 0, true);
+                corrupt(&mut c, "P", lo, 3, false);
+                let want = check_pools(pools(&c), 1).unwrap_err();
+                assert_eq!(
+                    want,
+                    err(format!("object {lo}: P intervals not normalized"))
+                );
+                assert_eq!(check_pools(pools(&c), threads), Err(want));
+            }
+            let mut c = base.clone();
+            corrupt(&mut c, "C", 0, 0, true);
+            corrupt(&mut c, "P", n - 1, 0, true);
+            let want = err(format!(
+                "object {}: empty P interval [{x},{x})",
+                n - 1,
+                x = (n * k - k) * 8
+            ));
+            assert_eq!(check_pools(pools(&c), 1), Err(want.clone()));
+            assert_eq!(check_pools(pools(&c), threads), Err(want));
+        }
+    }
+
+    #[test]
+    fn object_chunks_balance_intervals() {
+        // Skewed spans: one object holds half of the pool.
+        let offs = [0u64, 50, 60, 70, 80, 90, 100];
+        assert_eq!(object_chunks(&offs, 1), vec![0..6]);
+        assert_eq!(object_chunks(&offs, 2), vec![0..1, 1..6]);
+        assert_eq!(object_chunks(&offs, 4), vec![0..1, 1..1, 1..4, 4..6]);
+        // Fewer objects than parts, and an empty pool.
+        assert_eq!(object_chunks(&[0, 5], 3), vec![0..1, 1..1, 1..1]);
+        assert_eq!(object_chunks(&[0, 0, 0], 2), vec![0..0, 0..2]);
     }
 
     #[test]

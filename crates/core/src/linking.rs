@@ -8,7 +8,6 @@
 //! the integration path the paper names (Silk-style link discovery).
 
 use crate::exec::Link;
-use std::fmt::Write as _;
 use stj_de9im::TopoRelation;
 
 /// GeoSPARQL simple-features property IRI for a relation, from the
@@ -33,23 +32,29 @@ pub fn geosparql_property(rel: TopoRelation) -> &'static str {
     }
 }
 
+/// The generic non-disjoint GeoSPARQL property.
+const SF_INTERSECTS: &str = "http://www.opengis.net/ont/geosparql#sfIntersects";
+
 /// All GeoSPARQL properties a detected relation entails, most specific
 /// first — e.g. a `meets` pair satisfies both `sfTouches` and
 /// `sfIntersects`.
 pub fn implied_properties(rel: TopoRelation) -> Vec<&'static str> {
     let mut out = vec![geosparql_property(rel)];
     if rel != TopoRelation::Disjoint {
-        out.push("http://www.opengis.net/ont/geosparql#sfIntersects");
+        out.push(SF_INTERSECTS);
     }
-    out.dedup();
     out
 }
+
+/// Bytes reserved per triple: an N-Triples line with two short entity
+/// IRIs (`<urn:stj:OBE:41234>`) and a GeoSPARQL property is ~90 bytes.
+const TRIPLE_BYTES: usize = 128;
 
 /// Serializes discovered links as N-Triples.
 ///
 /// Subject/object IRIs are produced by the caller-supplied naming
-/// functions (typically mapping dataset indexes to entity IRIs). Only
-/// the most specific property per link is emitted; pass
+/// functions (typically mapping dataset indexes to entity IRIs), once
+/// per link. Only the most specific property per link is emitted; pass
 /// `include_implied = true` to also materialize `sfIntersects` for
 /// every non-disjoint link.
 pub fn links_to_ntriples(
@@ -58,24 +63,28 @@ pub fn links_to_ntriples(
     object_iri: impl Fn(u32) -> String,
     include_implied: bool,
 ) -> String {
-    let mut out = String::new();
+    let per_link = if include_implied { 2 } else { 1 };
+    let mut out = String::with_capacity(links.len() * per_link * TRIPLE_BYTES);
     for link in links {
-        let props = if include_implied {
-            implied_properties(link.relation)
-        } else {
-            vec![geosparql_property(link.relation)]
-        };
-        for p in props {
-            let _ = writeln!(
-                out,
-                "<{}> <{}> <{}> .",
-                subject_iri(link.r),
-                p,
-                object_iri(link.s)
-            );
+        let (subject, object) = (subject_iri(link.r), object_iri(link.s));
+        push_triple(
+            &mut out,
+            &subject,
+            geosparql_property(link.relation),
+            &object,
+        );
+        if include_implied && link.relation != TopoRelation::Disjoint {
+            push_triple(&mut out, &subject, SF_INTERSECTS, &object);
         }
     }
     out
+}
+
+/// Appends `<s> <p> <o> .` and a newline.
+fn push_triple(out: &mut String, s: &str, p: &str, o: &str) {
+    for piece in ["<", s, "> <", p, "> <", o, "> .\n"] {
+        out.push_str(piece);
+    }
 }
 
 #[cfg(test)]
@@ -136,6 +145,49 @@ mod tests {
             |j| format!("http://ex.org/park/{j}"),
             true,
         );
-        assert_eq!(with_implied.lines().count(), 4);
+        assert_eq!(
+            with_implied,
+            "<http://ex.org/lake/0> <http://www.opengis.net/ont/geosparql#sfWithin> <http://ex.org/park/3> .\n\
+             <http://ex.org/lake/0> <http://www.opengis.net/ont/geosparql#sfIntersects> <http://ex.org/park/3> .\n\
+             <http://ex.org/lake/1> <http://www.opengis.net/ont/geosparql#sfTouches> <http://ex.org/park/4> .\n\
+             <http://ex.org/lake/1> <http://www.opengis.net/ont/geosparql#sfIntersects> <http://ex.org/park/4> .\n"
+        );
+
+        // Byte-for-byte against one `writeln!` per implied property,
+        // over every relation, with and without the implied triples.
+        let links: Vec<Link> = TopoRelation::SPECIFIC_TO_GENERAL
+            .into_iter()
+            .enumerate()
+            .map(|(i, relation)| Link {
+                r: i as u32,
+                s: 100 + i as u32,
+                relation,
+            })
+            .collect();
+        for include_implied in [false, true] {
+            let mut want = String::new();
+            for link in &links {
+                let props = if include_implied {
+                    implied_properties(link.relation)
+                } else {
+                    vec![geosparql_property(link.relation)]
+                };
+                for p in props {
+                    use std::fmt::Write as _;
+                    writeln!(want, "<urn:a:{}> <{p}> <urn:b:{}> .", link.r, link.s).unwrap();
+                }
+            }
+            let got = links_to_ntriples(
+                &links,
+                |i| format!("urn:a:{i}"),
+                |j| format!("urn:b:{j}"),
+                include_implied,
+            );
+            assert_eq!(got, want, "include_implied = {include_implied}");
+        }
+        assert_eq!(
+            links_to_ntriples(&[], |i| i.to_string(), |j| j.to_string(), true),
+            ""
+        );
     }
 }

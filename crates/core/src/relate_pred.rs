@@ -20,6 +20,7 @@ use crate::arena::ObjectRef;
 use stj_de9im::{RelateScratch, TopoRelation};
 use stj_index::MbrRelation;
 use stj_obs::Disabled;
+use stj_raster::AprilRef;
 
 /// How a [`relate_p`] query was answered (for filter-effectiveness
 /// accounting, mirroring [`crate::pipeline::Determination`]).
@@ -84,9 +85,13 @@ pub(crate) fn mbr_verdict(mbr_rel: MbrRelation, p: TopoRelation) -> Option<bool>
 /// Layer 2 verdict from the predicate-specific raster filters
 /// (Figure 6): `Some(holds)` when the `P`/`C` merge-joins confirm or
 /// refute `p`, `None` when the pair must be refined.
-pub(crate) fn raster_verdict(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation) -> Option<bool> {
+///
+/// As in the intermediate filters (see [`crate::filters`]), a
+/// confirming `P`-list test runs before the `C`-list test it implies
+/// under `P ⊆ C`, so the verdict is Figure 6's while a confirmed
+/// containment costs one list search.
+pub(crate) fn raster_verdict(ra: AprilRef<'_>, sa: AprilRef<'_>, p: TopoRelation) -> Option<bool> {
     use TopoRelation::*;
-    let (ra, sa) = (r.april, s.april);
     match p {
         Equals => {
             if !ra.c.matches(sa.c) || !ra.p.matches(sa.p) {
@@ -94,21 +99,21 @@ pub(crate) fn raster_verdict(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation
             }
         }
         Inside | CoveredBy => {
-            if !ra.c.inside(sa.c) {
-                return Some(false);
-            }
             if ra.c.inside(sa.p) {
                 // Proves r ⊂ int(s): strict containment, which satisfies
                 // both `inside` and `covered by`.
                 return Some(true);
             }
-        }
-        Contains | Covers => {
-            if !ra.c.contains(sa.c) {
+            if !ra.c.inside(sa.c) {
                 return Some(false);
             }
+        }
+        Contains | Covers => {
             if ra.p.contains(sa.c) {
                 return Some(true);
+            }
+            if !ra.c.contains(sa.c) {
+                return Some(false);
             }
         }
         Meets => {
@@ -122,18 +127,24 @@ pub(crate) fn raster_verdict(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation
             }
         }
         Intersects => {
+            if ra.c.overlaps(sa.p) {
+                return Some(true);
+            }
             if !ra.c.overlaps(sa.c) {
                 return Some(false);
             }
-            if ra.c.overlaps(sa.p) || ra.p.overlaps(sa.c) {
+            if ra.p.overlaps(sa.c) {
                 return Some(true);
             }
         }
         Disjoint => {
+            if ra.c.overlaps(sa.p) {
+                return Some(false);
+            }
             if !ra.c.overlaps(sa.c) {
                 return Some(true);
             }
-            if ra.c.overlaps(sa.p) || ra.p.overlaps(sa.c) {
+            if ra.p.overlaps(sa.c) {
                 return Some(false);
             }
         }
@@ -156,6 +167,7 @@ pub fn relate_p(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation) -> RelateOu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filters::tests::{random_pair, Rng};
     use crate::object::SpatialObject;
     use stj_de9im::relate;
     use stj_geom::{Polygon, Rect};
@@ -178,6 +190,86 @@ mod tests {
     const ALL: [TopoRelation; 8] = [
         Disjoint, Intersects, Meets, Equals, Inside, Contains, CoveredBy, Covers,
     ];
+
+    /// Figure 6's raster layer as the paper orders it, `C` tests first.
+    fn figure6_raster_verdict(ra: AprilRef<'_>, sa: AprilRef<'_>, p: TopoRelation) -> Option<bool> {
+        match p {
+            Equals => {
+                if !ra.c.matches(sa.c) || !ra.p.matches(sa.p) {
+                    return Some(false);
+                }
+            }
+            Inside | CoveredBy => {
+                if !ra.c.inside(sa.c) {
+                    return Some(false);
+                }
+                if ra.c.inside(sa.p) {
+                    return Some(true);
+                }
+            }
+            Contains | Covers => {
+                if !ra.c.contains(sa.c) {
+                    return Some(false);
+                }
+                if ra.p.contains(sa.c) {
+                    return Some(true);
+                }
+            }
+            Meets => {
+                if !ra.c.overlaps(sa.c) {
+                    return Some(false);
+                }
+                if ra.c.overlaps(sa.p) || ra.p.overlaps(sa.c) {
+                    return Some(false);
+                }
+            }
+            Intersects => {
+                if !ra.c.overlaps(sa.c) {
+                    return Some(false);
+                }
+                if ra.c.overlaps(sa.p) || ra.p.overlaps(sa.c) {
+                    return Some(true);
+                }
+            }
+            Disjoint => {
+                if !ra.c.overlaps(sa.c) {
+                    return Some(true);
+                }
+                if ra.c.overlaps(sa.p) || ra.p.overlaps(sa.c) {
+                    return Some(false);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn p_first_raster_verdict_matches_figure6() {
+        let mut rng = Rng::new(0xF166);
+        let mut seen = [[false; 3]; ALL.len()];
+        for _ in 0..20_000 {
+            let (r, s) = random_pair(&mut rng);
+            for (k, p) in ALL.into_iter().enumerate() {
+                let want = figure6_raster_verdict(r.as_ref(), s.as_ref(), p);
+                assert_eq!(
+                    raster_verdict(r.as_ref(), s.as_ref(), p),
+                    want,
+                    "{p:?}: r = {r:?}, s = {s:?}"
+                );
+                seen[k][match want {
+                    Some(false) => 0,
+                    Some(true) => 1,
+                    None => 2,
+                }] = true;
+            }
+        }
+        // Every verdict each predicate's layer can give was reached
+        // (rasters alone never confirm `meets` or `equals`).
+        for (k, p) in ALL.into_iter().enumerate() {
+            let confirmable = !matches!(p, Meets | Equals);
+            assert_eq!(seen[k], [true, confirmable, true], "{p:?}");
+        }
+    }
 
     #[test]
     fn agrees_with_oracle_on_catalog() {

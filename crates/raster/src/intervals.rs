@@ -12,22 +12,34 @@
 //!   `Y` (⇔ cell-set inclusion, thanks to normalization);
 //! - **contains** — the converse of inside.
 //!
+//! When one list is more than `GALLOP_FACTOR` (16) times shorter than the
+//! other (a building against a zip code), the merge-join would walk the
+//! whole long list; instead the short list drives a *cursor search*: a
+//! binary search places its first interval in the long list, and each
+//! later interval searches exponentially forward from the previous hit
+//! (the hits only move forward, since both lists are sorted). A short
+//! list of `k` clustered intervals then costs one `O(log n)` search plus
+//! `k - 1` searches of `O(log d)`, `d` the distance between hits. The
+//! intermediate filters test the `P`-list relation that decides a pair
+//! before the `C`-list ones it implies, so a building inside a zip code
+//! costs one such search into the zip code's `P` list.
+//!
 //! The relations are implemented over bare `&[(u64, u64)]` slices
 //! ([`ivs_overlaps`], [`ivs_matches`], [`ivs_inside`], [`ivs_contains`])
 //! so an owned [`IntervalList`] and a borrowed span of a columnar
 //! interval pool ([`IntervalsRef`]) share one code path.
 
 /// Length ratio beyond which the list relations switch from merge-join
-/// to per-interval binary search over the longer list.
+/// to a cursor search of the longer list (see the module docs).
 const GALLOP_FACTOR: usize = 16;
 
 /// `X, Y overlap` over normalized slices: the lists share at least one
 /// cell id.
 ///
 /// Single-pass merge-join, `O(|X| + |Y|)`; when one list is much shorter
-/// it switches to per-interval binary search, `O(|X| log |Y|)` — the
-/// common case when a tiny object (building) is checked against a huge
-/// one (park, county).
+/// it switches to a cursor search of the longer one, at most
+/// `O(|X| log |Y|)` — the common case when a tiny object (building) is
+/// checked against a huge one (zip code, park, county).
 pub fn ivs_overlaps(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
     if a.len() * GALLOP_FACTOR < b.len() {
         return overlaps_gallop(a, b);
@@ -51,17 +63,42 @@ pub fn ivs_overlaps(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
     false
 }
 
-/// Overlap via binary search: `small` must be the (much) shorter list.
+/// Overlap via cursor search: `small` must be the (much) shorter list.
 fn overlaps_gallop(small: &[(u64, u64)], big: &[(u64, u64)]) -> bool {
-    for &(s, e) in small {
-        // First interval of `big` ending after `s` is the only one that
-        // can overlap `[s, e)` from the left.
-        let idx = big.partition_point(|&(_, be)| be <= s);
-        if idx < big.len() && big[idx].0 < e {
+    // The first interval of `big` ending after `s` is the only one that
+    // can overlap `[s, e)` from the left; `s` grows along `small`, so
+    // that index only moves forward.
+    let mut idx = 0;
+    for (k, &(s, e)) in small.iter().enumerate() {
+        let ends_before = |&(_, be): &(u64, u64)| be <= s;
+        idx = if k == 0 {
+            big.partition_point(ends_before)
+        } else {
+            gallop_from(big, idx, ends_before)
+        };
+        if idx == big.len() {
+            return false; // every later interval of `small` starts later still
+        }
+        if big[idx].0 < e {
             return true;
         }
     }
     false
+}
+
+/// Index of the first element of `v[from..]` failing `pred`, where
+/// `pred` holds on a prefix of `v` at least `from` long: probes
+/// `from, from + 1, from + 3, from + 7, …` until one fails, then
+/// binary-searches the last gap. `O(log d)` for a hit `d` places on.
+fn gallop_from<T>(v: &[T], from: usize, pred: impl Fn(&T) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < v.len() && pred(&v[hi]) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(v.len());
+    lo + v[lo..hi].partition_point(pred)
 }
 
 /// `X, Y match` over normalized slices: identical interval sequences
@@ -74,16 +111,26 @@ pub fn ivs_matches(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
 /// `X inside Y` over normalized slices: every interval of `a` is
 /// contained in one interval of `b` (⇔ cell-set inclusion).
 ///
-/// Single-pass merge-join, `O(|X| + |Y|)`, switching to binary search
-/// (`O(|X| log |Y|)`) when `b` is much longer.
+/// Single-pass merge-join, `O(|X| + |Y|)`, switching to a cursor search
+/// of `b` (at most `O(|X| log |Y|)`) when `b` is much longer.
 pub fn ivs_inside(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
     if a.len() * GALLOP_FACTOR < b.len() {
-        return a.iter().all(|&(s, e)| {
-            // The first Y interval ending at or after `e` is the only
-            // candidate container.
-            let idx = b.partition_point(|&(_, ye)| ye < e);
-            idx < b.len() && b[idx].0 <= s
-        });
+        // The first Y interval ending at or after `e` is the only
+        // candidate container; `e` grows along `a`, so the search
+        // resumes from the previous hit.
+        let mut idx = 0;
+        for (k, &(s, e)) in a.iter().enumerate() {
+            let ends_before = |&(_, ye): &(u64, u64)| ye < e;
+            idx = if k == 0 {
+                b.partition_point(ends_before)
+            } else {
+                gallop_from(b, idx, ends_before)
+            };
+            if idx == b.len() || b[idx].0 > s {
+                return false;
+            }
+        }
+        return true;
     }
     let mut j = 0;
     'outer: for &(s, e) in a {
@@ -433,45 +480,98 @@ mod tests {
 
     #[test]
     fn gallop_paths_agree_with_merge_join() {
-        // Asymmetric sizes force the binary-search paths; compare against
-        // set semantics.
+        // Asymmetric sizes force the cursor-search paths; compare against
+        // set semantics. Short lists of 1–20 intervals spread across a
+        // 2,000-interval list: every interval after the first resumes the
+        // search from the previous hit, forward by 0 to ~2,000 places.
         use std::collections::HashSet;
         let big_ranges: Vec<(u64, u64)> = (0..2000u64).map(|i| (i * 10, i * 10 + 6)).collect();
         let big = IntervalList::from_ranges(big_ranges.clone());
         let big_set: HashSet<u64> = big_ranges.iter().flat_map(|&(s, e)| s..e).collect();
-        let mut seed = 77u64;
+        let mut seed = 4242u64;
         let mut rnd = move |m: u64| {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             seed % m
         };
-        for _ in 0..500 {
-            let s0 = rnd(20_100);
-            let len = 1 + rnd(15);
-            let small = IntervalList::from_ranges(vec![(s0, s0 + len)]);
-            let small_set: HashSet<u64> = (s0..s0 + len).collect();
-            assert_eq!(
-                small.overlaps(&big),
-                !small_set.is_disjoint(&big_set),
-                "overlap gallop small->big at {s0}+{len}"
-            );
-            assert_eq!(
-                big.overlaps(&small),
-                !small_set.is_disjoint(&big_set),
-                "overlap gallop big->small at {s0}+{len}"
-            );
-            assert_eq!(
-                small.inside(&big),
-                small_set.is_subset(&big_set),
-                "inside gallop at {s0}+{len}"
-            );
-            assert_eq!(
-                big.contains(&small),
-                small_set.is_subset(&big_set),
-                "contains gallop at {s0}+{len}"
-            );
+        let check = |ranges: Vec<(u64, u64)>| {
+            let small = IntervalList::from_ranges(ranges);
+            let set: HashSet<u64> = small.iter_cells().collect();
+            let what = small.intervals();
+            let overlap = !set.is_disjoint(&big_set);
+            let inside = set.is_subset(&big_set);
+            assert_eq!(small.overlaps(&big), overlap, "overlaps {what:?}");
+            assert_eq!(big.overlaps(&small), overlap, "overlapped by {what:?}");
+            assert_eq!(small.inside(&big), inside, "inside {what:?}");
+            assert_eq!(big.contains(&small), inside, "contains {what:?}");
+            assert!(!big.inside(&small), "big inside {what:?}");
+            assert!(!small.contains(&big), "contains big {what:?}");
+            (overlap, inside)
+        };
+        let (mut overlaps, mut insides) = (0, 0);
+        for round in 0..3000 {
+            let k = 1 + rnd(20) as usize;
+            // Clustered (a few big intervals wide, so successive hits
+            // share or neighbour a big interval) or spread over all.
+            let (base, spread) = match rnd(3) {
+                0 => (0, 2000),
+                1 => (rnd(2000), 1 + rnd(4)),
+                _ => (rnd(2000), 1 + rnd(64)),
+            };
+            let ranges: Vec<(u64, u64)> = (0..k)
+                .map(|_| {
+                    let i = (base + rnd(spread)) * 10;
+                    match round % 3 {
+                        // Inside one big interval: containment holds
+                        // unless another interval breaks it.
+                        0 => {
+                            let s = i + rnd(5);
+                            (s, s + 1 + rnd(6 - (s - i)))
+                        }
+                        // In the gap after one: no overlap.
+                        1 => {
+                            let s = i + 6 + rnd(3);
+                            (s, s + 1 + rnd(i + 10 - s))
+                        }
+                        // Anywhere around it.
+                        _ => {
+                            let s = i + rnd(10);
+                            (s, s + 1 + rnd(12))
+                        }
+                    }
+                })
+                .collect();
+            let (o, i) = check(ranges);
+            overlaps += o as u32;
+            insides += i as u32;
         }
+        // Both outcomes of each relation are exercised.
+        assert!(overlaps > 300 && overlaps < 2700, "{overlaps}");
+        assert!(insides > 300 && insides < 2700, "{insides}");
+
+        // Hits on the first and the last big interval, alone and as the
+        // two ends of one short list.
+        assert_eq!(check(vec![(0, 2), (19_990, 19_996)]), (true, true));
+        assert_eq!(check(vec![(1, 3), (5, 6), (19_995, 19_996)]), (true, true));
+        assert_eq!(check(vec![(0, 1), (19_995, 19_997)]), (true, false));
+        assert_eq!(check(vec![(0, 7), (19_990, 19_991)]), (true, false));
+        assert_eq!(check(vec![(6, 10), (19_996, 20_000)]), (false, false));
+        assert_eq!(
+            check(vec![(19_990, 19_991), (19_993, 19_996)]),
+            (true, true)
+        );
+        assert_eq!(
+            check(vec![(19_996, 20_000), (30_000, 30_001)]),
+            (false, false)
+        );
+        assert_eq!(check(vec![(0, 1), (2, 3), (4, 5)]), (true, true));
+        // A miss just before a big interval, then a hit on it.
+        assert_eq!(check(vec![(7, 8), (10, 11)]), (true, false));
+        assert_eq!(
+            check(vec![(19_987, 19_989), (19_995, 19_996)]),
+            (true, false)
+        );
     }
 
     #[test]

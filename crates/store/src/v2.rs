@@ -131,8 +131,10 @@ pub fn open_arena_from_bytes(bytes: &[u8]) -> Result<(DatasetArena, Grid), Store
 
 /// Opens a dataset file. For v2 on a zero-copy-capable target the file
 /// is memory-mapped and the arena's columns borrow the page cache
-/// directly — an O(1) open that copies nothing and shares physical
-/// pages with every other process mapping the same file. Otherwise
+/// directly — an open that copies nothing and shares physical pages
+/// with every other process mapping the same file. It still validates
+/// every column (see [`DatasetArena::from_backing`]), about one read of
+/// the file, split across cores when the interval pools are large. Otherwise
 /// (v1, foreign layout, mapping failure) falls back to the buffered
 /// [`open_arena_from_bytes`] path.
 pub fn open_arena(path: &std::path::Path) -> Result<(DatasetArena, Grid), StoreError> {

@@ -1,8 +1,9 @@
 //! Allocation guard for the mapped open path (PR 8).
 //!
-//! `open_arena` on an STJD v2 file must be a true O(1) open: sniff the
-//! header, `mmap` the file, and point the arena's columns into the
-//! page-cache-backed words — **zero** full-file copies. This test pins
+//! `open_arena` on an STJD v2 file must copy nothing: sniff the header,
+//! `mmap` the file, validate the columns in place and point the arena's
+//! columns into the page-cache-backed words — **zero** full-file copies
+//! (the validation still reads every column once). This test pins
 //! that property with a byte-counting global allocator: opening a
 //! multi-megabyte v2 file may allocate only small metadata (the name
 //! string, the span table, the mapping handle), never a buffer in the
